@@ -6,7 +6,8 @@ the failing detail.  ``quick`` covers the worked-example regressions;
 """
 from __future__ import annotations
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 
 from . import chow, multirigid, projections, restriction, rigidity
 from .errors import UnsupportedDegenerationError
@@ -16,6 +17,7 @@ from .indices import (
     dimension,
     dual,
     enumerate_indices,
+    lambda_notation,
     plain_index,
 )
 from .parser import parse_index
@@ -97,22 +99,82 @@ def check_removal_rule_pairing_sweep():
 
 
 def check_zero_product_oracle_sweep():
-    """is_zero_product agrees with the LR product for k <= 3, n <= 7."""
+    """is_zero_product agrees with the raw LR expansion for k <= 3, n <= 7."""
     checked = 0
     for n in range(2, 8):
         for k in range(1, min(3, n - 1) + 1):
             space = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+            box = (n - k,) * k
             indices = list(enumerate_indices(space))
             for idx_a in indices:
+                lam = lambda_notation(space, idx_a)
                 for idx_b in indices:
                     fast = chow.is_zero_product(space, idx_a, idx_b)
-                    slow = chow.product_indices(space, idx_a, idx_b).is_zero()
+                    slow = not chow.lr_expand(lam, lambda_notation(space, idx_b), box)
                     _expect(
                         fast == slow,
                         "zero-product mismatch for %s, %s in %s" % (idx_a, idx_b, space),
                     )
                     checked += 1
     return "%d pairs checked" % checked
+
+
+JACOBI_TRUDI_SPACES = ((2, 6), (3, 7), (3, 8), (4, 8), (2, 9))
+
+
+def _jacobi_trudi(mu):
+    """s_mu = det(h_{mu_i - i + j}) as {h-degrees, ascending and nonzero: sign}."""
+    out = Counter()
+    for perm in permutations(range(len(mu))):
+        degrees = [part - i + j for i, (part, j) in enumerate(zip(mu, perm))]
+        if min(degrees, default=0) < 0:
+            continue
+        inversions = sum(x > y for x, y in combinations(perm, 2))
+        out[tuple(sorted(d for d in degrees if d))] += (-1) ** inversions
+    return out
+
+
+def check_lr_jacobi_trudi_sweep():
+    """LR products == Jacobi-Trudi determinants of Pieri steps, every ordered pair.
+
+    s_mu = det(h_{mu_i - i + j}), and each h_r acts on sigma_lambda by the
+    horizontal-strip Pieri rule in the k x (n-k) box, so this route shares
+    no code with the tableau engine.
+    """
+    checked = 0
+    for k, n in JACOBI_TRUDI_SPACES:
+        space = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+        box = (n - k,) * k
+        shapes = [lambda_notation(space, idx) for idx in enumerate_indices(space)]
+        steps = {}  # (shape, r) -> the Pieri product sigma_shape . h_r
+
+        def pieri(shape, r):
+            if (shape, r) not in steps:
+                steps[shape, r] = list(chow._horizontal_strips(shape, r, n - k))
+            return steps[shape, r]
+
+        for mu in shapes:
+            determinant = _jacobi_trudi(chow._strip(mu))
+            for lam in shapes:
+                want = Counter()
+                for degrees, sign in determinant.items():
+                    current = Counter({lam: sign})
+                    for r in degrees:
+                        after = Counter()
+                        for shape, c in current.items():
+                            for nu in pieri(shape, r):
+                                after[nu] += c
+                        current = after
+                    want.update(current)
+                want = {nu: c for nu, c in want.items() if c}
+                got = chow.lr_expand(lam, mu, box)
+                _expect(
+                    got == want,
+                    "LR and Jacobi-Trudi differ for %s x %s in %s: %s vs %s"
+                    % (lam, mu, space.render(), got, want),
+                )
+                checked += 1
+    return "%d ordered pairs checked" % checked
 
 
 def _flag_spaces(max_n, max_steps):
@@ -387,6 +449,7 @@ QUICK_CHECKS = (
 FULL_CHECKS = QUICK_CHECKS + (
     ("removal rule pairing sweep", check_removal_rule_pairing_sweep),
     ("zero product oracle sweep", check_zero_product_oracle_sweep),
+    ("LR Jacobi-Trudi oracle sweep", check_lr_jacobi_trudi_sweep),
     ("flag corollary equivalence sweep", check_flag_corollary_equivalence_sweep),
     ("multi-rigid implies rigid sweep", check_multirigid_implies_rigid_sweep),
     ("fiber consistency sweep", check_fiber_consistency_sweep),

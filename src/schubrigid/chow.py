@@ -1,22 +1,29 @@
 """Type-A Grassmannian Chow-ring engine: the ground-truth oracle.
 
-Products run internally in partition (lambda) notation; Littlewood-Richardson
-coefficients are computed by direct enumeration of LR skew tableaux, which is
-exact and plenty fast at desk scale.  The fast zero-product criterion and the
-special-class (Pieri chain) multiplication are exposed separately so that the
-two routes can be cross-checked against each other.
+Products run internally in partition (lambda) notation.  ``lr_expand``
+yields every term of s_lam * s_mu with its Littlewood-Richardson
+coefficient in one pass: it fills the smaller partition's content into the
+larger one label by label, each label a horizontal strip obeying the
+lattice condition, iteratively and without recursion.  The states it
+keeps are bounded by ``enumeration_cap()`` (EnumerationCapError,
+exit 2).  ``product_indices`` answers zero products by the exact
+zero-product criterion before expanding.  The special-class (Pieri chain)
+multiplication is exposed separately, so that the routes can be
+cross-checked against each other; ``checks`` also checks the expansion
+against Jacobi-Trudi determinants of Pieri steps.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import SpaceMismatchError, ValidationError
+from .errors import EnumerationCapError, SpaceMismatchError, ValidationError
 from .indices import (
     ChowClass,
     SpaceKind,
     check_valid,
     dimension,
+    enumeration_cap,
     index_from_lambda,
     lambda_notation,
     plain_index,
@@ -33,63 +40,13 @@ def is_zero_product(space, idx_a, idx_b):
     _require_grass(space)
     check_valid(space, idx_a)
     check_valid(space, idx_b)
-    n, k = space.ambient, space.top_step
-    return any(idx_a.a[i] + idx_b.a[k - i - 1] <= n for i in range(k))
+    return _vanishes(space, idx_a, idx_b)
 
 
 def lr_coefficient(lam, mu, nu):
-    """Littlewood-Richardson coefficient c^nu_{lam,mu} by tableau enumeration.
-
-    Counts semistandard fillings of nu/lam with content mu whose reverse
-    reading word is a lattice word.  Cells are visited row by row, right to
-    left, which makes the lattice condition checkable incrementally.
-    """
-    lam = _strip(lam)
-    mu = _strip(mu)
+    """Littlewood-Richardson coefficient c^nu_{lam,mu}: one entry of ``lr_expand``."""
     nu = _strip(nu)
-    if sum(nu) != sum(lam) + sum(mu):
-        return 0
-    rows = len(nu)
-    lam_padded = tuple(lam) + (0,) * (rows - len(lam))
-    if any(l > v for l, v in zip(lam_padded, nu)):
-        return 0
-    cells = []
-    for r in range(rows):
-        for c in range(nu[r] - 1, lam_padded[r] - 1, -1):
-            cells.append((r, c))
-    if not cells:
-        return 1 if not mu else 0
-    values = len(mu)
-    grid = {}
-    counts = [0] * (values + 1)
-    remaining = list(mu)
-
-    def place(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        lo, hi = 1, values
-        right = grid.get((r, c + 1))
-        if right is not None:
-            hi = min(hi, right)
-        if r > 0 and c >= lam_padded[r - 1]:
-            lo = max(lo, grid[(r - 1, c)] + 1)
-        total = 0
-        for v in range(lo, hi + 1):
-            if remaining[v - 1] == 0:
-                continue
-            if v > 1 and counts[v] + 1 > counts[v - 1]:
-                continue
-            grid[(r, c)] = v
-            counts[v] += 1
-            remaining[v - 1] -= 1
-            total += place(pos + 1)
-            remaining[v - 1] += 1
-            counts[v] -= 1
-            del grid[(r, c)]
-        return total
-
-    return place(0)
+    return lr_expand(lam, mu, nu).get(nu, 0)
 
 
 def _strip(partition):
@@ -99,21 +56,94 @@ def _strip(partition):
     return tuple(out)
 
 
-def _partitions_in_box(total, max_len, max_part):
-    """All partitions of ``total`` with at most max_len parts, parts <= max_part."""
+def lr_expand(lam, mu, outer):
+    """Every nu inside ``outer`` with c^nu_{lam,mu} != 0, as ``{nu: c}``.
 
-    def rec(total, max_part, slots):
-        if total == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        top = min(total, max_part)
-        for first in range(top, 0, -1):
-            for rest in rec(total - first, first, slots - 1):
-                yield (first,) + rest
+    The partition ``outer`` caps each row (for G(k,n): k rows of n-k), and
+    each nu comes back padded to ``len(outer)`` rows.  The smaller of lam
+    and mu is the content: its rows go into the other one label by label,
+    each as a horizontal strip, and label j+1 obeys the lattice condition
+    row by row against label j (the j+1's in rows <= r never outnumber the
+    j's in rows < r).  That counts LR tableaux by their reverse reading
+    words, one layer of states per label.  A state is the shape so far
+    plus, per row r, how many cells the next label may take in rows <= r
+    (capped at its size), and equal states merge with their counts added.
+    The last label goes straight into the result.  Raises
+    EnumerationCapError once the states kept exceed ``enumeration_cap()``.
+    """
+    lam, mu = _strip(lam), _strip(mu)
+    if sum(mu) > sum(lam):
+        lam, mu = mu, lam
+    rows = len(outer)
+    if len(lam) > rows or any(l > o for l, o in zip(lam, outer)):
+        return {}
+    shape = lam + (0,) * (rows - len(lam))
+    if not mu:
+        return {shape: 1}
+    if len(mu) > rows or mu[0] > outer[0]:  # so every state value is <= outer[0]
+        return {}
+    cap = enumeration_cap()
+    # bytes keep a state in one small object; tuples take parts over 255
+    pack = bytes if outer[0] < 256 else tuple
+    layer = {pack(shape + (mu[0],) * rows): 1}
+    kept = 1
+    adds = [0] * rows
+    highs = [0] * rows
+    used = [0] * (rows + 1)  # cells of this strip in rows < r
+    room = [0] * rows
+    slack = [0] * (rows + 1)  # cells that still fit in rows >= r
+    last = len(mu) - 1
+    for label, size in enumerate(mu):
+        bound = mu[label + 1] if label < last else 0
+        result = {}
+        while layer:  # popping frees each state once it is spent
+            key, count = layer.popitem()
+            for r in range(rows - 1, -1, -1):
+                room[r] = (outer[r] if r == 0 else min(outer[r], key[r - 1])) - key[r]
+                slack[r] = slack[r + 1] + room[r]
+            if size > slack[0]:
+                continue
+            # odometer over the strip's row lengths adds[0..rows-1]
+            r = 0
+            while True:
+                if r < rows:
+                    rem = size - used[r]
+                    hi = min(room[r], rem, key[rows + r] - used[r])
+                    lo = rem - slack[r + 1]
+                    if lo < 0:
+                        lo = 0
+                    if lo <= hi:
+                        adds[r] = lo
+                        highs[r] = hi
+                        used[r + 1] = used[r] + lo
+                        r += 1
+                        continue
+                else:
+                    new = [key[i] + adds[i] for i in range(rows)]
+                    if label < last:
+                        new += [u if u < bound else bound for u in used[:rows]]
+                    nu = pack(new)
+                    result[nu] = result.get(nu, 0) + count
+                r -= 1
+                while r >= 0 and adds[r] == highs[r]:
+                    r -= 1
+                if r < 0:
+                    break
+                adds[r] += 1
+                used[r + 1] += 1
+                r += 1
+            if kept + len(result) > cap:
+                raise EnumerationCapError(
+                    "Littlewood-Richardson states exceed cap %d" % cap
+                )
+        kept += len(result)
+        layer = result
+    return {tuple(nu): c for nu, c in layer.items()}
 
-    return rec(total, max_part, max_len)
+
+def _vanishes(space, idx_a, idx_b):
+    n, k = space.ambient, space.top_step
+    return any(idx_a.a[i] + idx_b.a[k - i - 1] <= n for i in range(k))
 
 
 def product_indices(space, idx_a, idx_b):
@@ -121,19 +151,15 @@ def product_indices(space, idx_a, idx_b):
     _require_grass(space)
     check_valid(space, idx_a)
     check_valid(space, idx_b)
-    n, k = space.ambient, space.top_step
-    lam = lambda_notation(space, idx_a)
-    mu = lambda_notation(space, idx_b)
-    total = sum(lam) + sum(mu)
-    out = Counter()
-    if total > k * (n - k):
+    if _vanishes(space, idx_a, idx_b):
         return ChowClass.zero(space)
-    for nu in _partitions_in_box(total, k, n - k):
-        coeff = lr_coefficient(lam, mu, nu)
-        if coeff:
-            nu_full = tuple(nu) + (0,) * (k - len(nu))
-            out[index_from_lambda(space, nu_full)] += coeff
-    return ChowClass.from_counter(space, out)
+    n, k = space.ambient, space.top_step
+    terms = lr_expand(
+        lambda_notation(space, idx_a), lambda_notation(space, idx_b), (n - k,) * k
+    )
+    return ChowClass.from_counter(
+        space, {index_from_lambda(space, nu): c for nu, c in terms.items()}
+    )
 
 
 def product(space, cls_a, cls_b):
@@ -218,9 +244,3 @@ def _horizontal_strips(lam, m, max_part):
     for nu in rec(0, m):
         if all(x >= y for x, y in zip(nu, nu[1:])):
             yield nu
-
-
-def chain_rule_index(space, idx):
-    """Closed form of the c = a_k Pieri chain: (1, a_1+1, ..., a_{k-1}+1)."""
-    return plain_index((1,) + tuple(a + 1 for a in idx.a[:-1]))
-

@@ -538,13 +538,22 @@ def _count_upper_bound(space):
 
 
 def enumeration_cap():
+    """The work cap: env SCHUBERT_ENUM_CAP if set and nonempty, else 10^6.
+
+    Anything but a nonnegative integer there is a ValidationError.
+    """
     raw = os.environ.get(ENUM_CAP_ENV)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_ENUM_CAP
+    if not raw:
+        return DEFAULT_ENUM_CAP
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise ValidationError(
+            ["%s must be a nonnegative integer, got %r" % (ENUM_CAP_ENV, raw)]
+        )
+    return cap
 
 
 def enumerate_indices(space, cap=None):

@@ -77,6 +77,12 @@ class TestProduct:
         assert chow.lr_coefficient((2, 1), (2, 1), (4, 2)) == 1
         assert chow.lr_coefficient((1,), (1,), (3,)) == 0
 
+    def test_wide_box_matches_narrow_box(self):
+        # rows longer than 255 switch the engine's state encoding
+        for lam, mu in (((3, 1), (2, 1)), ((4, 2, 1), (3, 2))):
+            narrow = chow.lr_expand(lam, mu, (8,) * 5)
+            assert narrow and chow.lr_expand(lam, mu, (300,) * 5) == narrow
+
     def test_bilinearity_with_coefficients(self):
         two_x = cls(G24, (2, 4), 2)
         y = cls(G24, (1, 4))

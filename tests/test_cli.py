@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 from schubrigid.cli import main
 
@@ -126,6 +127,26 @@ class TestExitCodes:
         assert code == 2
         assert "enumeration-cap" in err
 
+    def test_enumeration_cap_not_an_integer_is_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_ENUM_CAP", "abc")
+        code, _, err = run(capsys, "census", "G(2,4)", "--json")
+        assert code == 1
+        assert json.loads(err)["kind"] == "validation"
+
+    def test_enumeration_cap_negative_is_one(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_ENUM_CAP", "-5")
+        code, _, err = run(capsys, "census", "G(2,4)", "--json")
+        assert code == 1
+        assert json.loads(err)["kind"] == "validation"
+
+    def test_product_over_enumeration_cap_is_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("SCHUBERT_ENUM_CAP", "10")
+        code, out, err = run(
+            capsys, "product", "2,4,6,8 @ G(4,8)", "2,4,6,8 @ G(4,8)", "--json"
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "enumeration-cap"
+
     def test_degenerate_space_is_one(self, capsys):
         code, _, _ = run(capsys, "census", "G(5,4)")
         assert code == 1
@@ -135,6 +156,27 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads(err)
         assert payload["kind"] == "unsupported-kind" and payload["message"]
+
+
+class TestProductOutput:
+    def test_golden_products(self, capsys):
+        # `product --json` stdout recorded with the earlier per-partition
+        # tableau engine: every ordered pair of G(3,6) plus twelve products
+        # each in G(5,10), G(4,20) and G(2,40)
+        path = pathlib.Path(__file__).parent / "data" / "products_golden.json"
+        cases = json.loads(path.read_text())
+        assert len(cases) == 436
+        for case in cases:
+            code, out, _ = run(capsys, "product", case["lhs"], case["rhs"], "--json")
+            assert (code, out) == (0, case["stdout"]), (case["lhs"], case["rhs"])
+
+    def test_deep_thin_product(self, capsys):
+        code, out, err = run(
+            capsys, "product", "1199,1200 @ G(2,1200)", "99,1200 @ G(2,1200)", "--json"
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["terms"] == [{"coefficient": 1, "index": {"a": [99, 1200]}}]
 
 
 class TestCensus:
@@ -166,8 +208,6 @@ class TestCensus:
         assert verdicts["(1^1|1^2)"] is True
 
     def test_census_golden_file(self, capsys):
-        import pathlib
-
         golden = json.loads(
             (pathlib.Path(__file__).parent / "data" / "census_g24.json").read_text()
         )
