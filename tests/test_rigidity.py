@@ -1,6 +1,9 @@
 """Essential/rigid sub-index criteria and class-level verdicts."""
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 
 from schubrigid import rigidity
@@ -331,3 +334,39 @@ class TestSymplectic:
         verdict = rigidity.rigid_symp(sp, idx)
         assert verdict.sub("a", 1).rigid is True  # point class under pi_1
         assert verdict.class_rigid is None
+
+
+GOLDEN_VERDICTS = pathlib.Path(__file__).parent / "data" / "verdicts_golden.jsonl"
+GOLDEN_SPACES = (
+    "G(4,8)",
+    "F(1,2,3;6)",
+    "OG(3,9)",
+    "OG(3,8)",
+    "OF(1,3;9)",
+    "OF(2,3;8)",
+    "OF(1,3;6)",
+    "SG(3,8)",
+    "SF(1,2;6)",
+)
+
+
+def golden_verdict_lines():
+    """``classify(...).to_json()`` of every class of GOLDEN_SPACES, one per line,
+    under the max reading and then under ``paper_literal``."""
+    for text in GOLDEN_SPACES:
+        sp = parse_space(text)
+        for idx in enumerate_indices(sp):
+            for literal in (False, True):
+                verdict = rigidity.classify(sp, idx, paper_literal=literal)
+                yield json.dumps(verdict.to_json()) + "\n"
+
+
+class TestGoldenVerdicts:
+    def test_verdicts_byte_identical(self):
+        # recorded before the per-class analysis replaced the per-question
+        # push-forwards; witnesses and relation edges are in every line
+        golden = GOLDEN_VERDICTS.read_text().splitlines(keepends=True)
+        got = list(golden_verdict_lines())
+        assert len(got) == len(golden) == 2 * 514
+        for line, want in zip(got, golden):
+            assert line == want
