@@ -241,6 +241,5 @@ def _horizontal_strips(lam, m, max_part):
             for rest in rec(row + 1, left - (value - lo)):
                 yield (value,) + rest
 
-    for nu in rec(0, m):
-        if all(x >= y for x, y in zip(nu, nu[1:])):
-            yield nu
+    # each row is capped by lam's row above, so every nu is a partition
+    yield from rec(0, m)

@@ -23,7 +23,6 @@ from itertools import combinations, permutations
 
 from .errors import (
     EnumerationCapError,
-    SpaceMismatchError,
     UnsupportedKindError,
     ValidationError,
 )
@@ -496,12 +495,6 @@ def rank_table(space, index):
     return RankTable(space=space, index=index, mu=mu, nu=nu, x=x)
 
 
-def mu_value(index, i, t):
-    """mu_{i,t} for a flagged index, 1-based arguments."""
-    a_i = index.a[i - 1]
-    return sum(1 for a_c, al in zip(index.a, index.alpha) if a_c <= a_i and al <= t)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -683,11 +676,3 @@ class ChowClass:
                 {"index": idx.to_json(), "coefficient": c} for idx, c in self.terms
             ],
         }
-
-
-def add_classes(lhs, rhs):
-    if lhs.space != rhs.space:
-        raise SpaceMismatchError("cannot add classes over different spaces")
-    total = lhs.counter()
-    total.update(rhs.counter())
-    return ChowClass.from_counter(lhs.space, total)

@@ -23,7 +23,6 @@ from .indices import (
     SpaceDescriptor,
     SpaceKind,
     check_valid,
-    render_literal,
 )
 
 _KINDS = {kind.value: kind for kind in SpaceKind}
@@ -190,11 +189,6 @@ def parse_index(text):
             index = SchubertIndex(a=index.a, alpha=index.alpha, b=(), beta=())
     check_valid(space, index)
     return space, index
-
-
-def round_trip(space, index):
-    """parse(render(x)) — used by tests and the JSON layer."""
-    return parse_index(render_literal(space, index))
 
 
 # ---------------------------------------------------------------------------

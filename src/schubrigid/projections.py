@@ -72,12 +72,6 @@ def pushforward_pair_flag(space, index, t):
     return result
 
 
-def pushforward_orthflag(space, index, t):
-    if space.kind is not SpaceKind.FLAG_ORTH:
-        raise UnsupportedKindError("pushforward_orthflag needs a FlaggedOrthPair")
-    return pushforward_pair_flag(space, index, t)
-
-
 def fiber_class_top(space, index):
     """Class of a general fiber of pi_k: the full sub-flag pattern (1,...,d_k)."""
     if space.kind is not SpaceKind.FLAG_A:

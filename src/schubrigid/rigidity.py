@@ -19,10 +19,22 @@ The criteria used here:
   per-entry rigidity with a total-order check on the essential set.
 * Symplectic spaces: sufficient conditions only; everything else reports
   "unknown" (None) rather than guessing.
+
+Every flag verdict reads one per-class analysis (``_ClassAnalysis``).  It
+validates the index once, views G(k,n) as F(k;n), holds the sub-index refs
+by key and, for each projection level t on first use, keeps the image under
+pi_t, its target space, where each surviving ref lands and the image's
+essential set; image rigidity is memoized per (ref, t).  Every question of
+the form "levels t >= max(threshold, block) where ..." -- first essential
+level, first common essential level, rigid levels, the SF a_i = i test --
+is one walk over that table, so each push-forward is computed at most once
+per class.  The public functions are thin entry points that build an
+analysis for their one call; nothing is cached across calls.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import inf
 
@@ -261,65 +273,34 @@ def essential_symp_pair(space, index):
     return keys
 
 
-def _as_flag_space(space):
+def _as_flagged(space, index):
     """View G(k,n) as the single-step flag F(k;n) for the projection machinery."""
     if space.kind is SpaceKind.GRASS_A:
-        return SpaceDescriptor(kind=SpaceKind.FLAG_A, steps=space.steps, ambient=space.ambient)
-    return space
-
-
-def _as_flagged(space, index):
-    if space.kind is SpaceKind.GRASS_A:
-        return _as_flag_space(space), SchubertIndex(
-            a=index.a, alpha=(1,) * len(index.a)
-        )
+        flag_space = SpaceDescriptor(SpaceKind.FLAG_A, space.steps, space.ambient)
+        return flag_space, SchubertIndex(a=index.a, alpha=(1,) * len(index.a))
     return space, index
+
+
+def _flag_essential(index):
+    a, alpha = index.a, index.alpha
+    return {
+        i
+        for i in range(1, len(a) + 1)
+        if i == len(a) or a[i - 1] < a[i] - 1 or alpha[i - 1] < alpha[i]
+    }
 
 
 def essential_flag_positions(space, index):
     """FlaggedA essential positions via the three-clause characterization."""
     check_valid(space, index)
-    d_k = len(index.a)
-    out = set()
-    for i in range(1, d_k + 1):
-        if i == d_k:
-            out.add(i)
-        elif index.a[i - 1] < index.a[i] - 1:
-            out.add(i)
-        elif index.alpha[i - 1] < index.alpha[i]:
-            out.add(i)
-    return out
-
-
-def _image_entry_positions(index, t):
-    """Positions of the entries surviving pi_t, per side, in image order."""
-    a_kept = [i for i, al in enumerate(index.alpha, start=1) if al <= t]
-    b_kept = [j for j, be in enumerate(index.beta or (), start=1) if be <= t]
-    return a_kept, b_kept
+    return _flag_essential(index)
 
 
 def _essential_in_pushforward(space, index, ref, t):
     """Is ``ref`` (present at level t) essential in the t-th push-forward?"""
-    upper = ref.block
-    if upper is None or upper > t:
+    if ref.block is None or ref.block > t:
         return False
-    if space.kind is SpaceKind.FLAG_A:
-        image = pushforward_flag(space, index, t)
-        a_kept, _ = _image_entry_positions(index, t)
-        pos = a_kept.index(ref.position) + 1
-        return pos in essential_grass(target_space(space, t), image)
-    image = pushforward_pair_flag(space, index, t)
-    a_kept, b_kept = _image_entry_positions(index, t)
-    if ref.side == "a":
-        pos = a_kept.index(ref.position) + 1
-    else:
-        pos = b_kept.index(ref.position) + 1
-    tgt = target_space(space, t)
-    if space.kind is SpaceKind.FLAG_ORTH:
-        keys = essential_orthgrass(tgt, image)
-    else:
-        keys = essential_symp_pair(tgt, image)
-    return (ref.side, pos) in keys
+    return _ClassAnalysis(space, index).essential_at(ref.key(), t)
 
 
 def essential_flag(space, index):
@@ -328,20 +309,206 @@ def essential_flag(space, index):
     FlaggedA uses the closed form; flagged pairs test essentialness of the
     image entry across all levels at which the entry survives.
     """
-    check_valid(space, index)
-    if space.kind is SpaceKind.FLAG_A:
-        return {("a", i) for i in essential_flag_positions(space, index)}
-    if space.kind not in (SpaceKind.FLAG_ORTH, SpaceKind.FLAG_SYMP):
+    analysis = _ClassAnalysis(space, index)
+    if not space.kind.is_flag:
         raise UnsupportedKindError("essential_flag needs a flagged index")
-    keys = set()
-    k = space.blocks
-    for ref in make_refs(index):
-        if any(
-            _essential_in_pushforward(space, index, ref, t)
-            for t in range(ref.block, k + 1)
-        ):
-            keys.add(ref.key())
-    return keys
+    return set(analysis.essential)
+
+
+# ---------------------------------------------------------------------------
+# the per-class analysis
+
+
+class _ClassAnalysis:
+    """What the verdicts on one class read, each fact computed once.
+
+    The index is validated here, once, after G(k,n) is viewed as F(k;n), and
+    the refs are held by key.  For a projection level t, on first use, the
+    image under pi_t (``pushforward_flag`` / ``pushforward_pair_flag``, the
+    only removal rule), its target space, the image key of every surviving
+    ref and the image's essential keys are stored; whether a ref is rigid in
+    pi_t is memoized per (ref, t).  An analysis lives for one call.
+    """
+
+    def __init__(self, space, index):
+        self.space, self.index = _as_flagged(space, index)
+        check_valid(self.space, self.index)
+        self.refs = {ref.key(): ref for ref in make_refs(self.index)}
+        self._levels = {}
+        self._rigid = {}
+
+    @property
+    def kind(self):
+        return self.space.kind
+
+    def level(self, t):
+        """(target space, image, {class key: image key}, image essential keys) of pi_t."""
+        if t not in self._levels:
+            flag_a = self.kind is SpaceKind.FLAG_A
+            push = pushforward_flag if flag_a else pushforward_pair_flag
+            image = push(self.space, self.index, t)
+            target = target_space(self.space, t)
+            if flag_a:
+                essential = {("a", i) for i in essential_grass(target, image)}
+            elif self.kind is SpaceKind.FLAG_ORTH:
+                essential = essential_orthgrass(target, image)
+            else:
+                essential = essential_symp_pair(target, image)
+            kept = {}
+            for side in "ab":
+                survivors = [r for r in self.refs.values() if r.side == side and r.block <= t]
+                kept.update((r.key(), (side, p)) for p, r in enumerate(survivors, start=1))
+            self._levels[t] = (target, image, kept, essential)
+        return self._levels[t]
+
+    def essential_at(self, key, t):
+        _, _, kept, essential = self.level(t)
+        return kept.get(key) in essential
+
+    def rigid_at(self, key, t):
+        """Is the ref essential and rigid in pi_t?  On SF: does a_i = i suffice there?"""
+        if (key, t) not in self._rigid:
+            target, image, kept, essential = self.level(t)
+            image_key = kept[key]
+            rigid = image_key in essential
+            if rigid and self.kind is SpaceKind.FLAG_A:
+                rigid = _grass_rigid(image.a, image_key[1])
+            elif rigid and self.kind is SpaceKind.FLAG_ORTH:
+                rigid = _orth_rigid(target, image, image_key)
+            elif rigid:
+                rigid = image_key[0] == "a" and _sg_sufficient(target, image, image_key[1])
+            self._rigid[key, t] = rigid
+        return self._rigid[key, t]
+
+    def levels(self, test, threshold, *refs):
+        """Levels t >= max(threshold, the refs' blocks) where ``test(key, t)``
+        holds for every ref, ascending."""
+        start = max(threshold, *(ref.block for ref in refs))
+        for t in range(start, self.space.blocks + 1):
+            if all(test(ref.key(), t) for ref in refs):
+                yield t
+
+    def first(self, test, threshold, *refs):
+        return next(self.levels(test, threshold, *refs), None)
+
+    @cached_property
+    def essential(self):
+        """Essential refs by key: the closed form on type A, else essential in some pi_t."""
+        if self.kind is SpaceKind.FLAG_A:
+            positions = _flag_essential(self.index)
+            return {key: r for key, r in self.refs.items() if r.position in positions}
+        return {
+            key: r
+            for key, r in self.refs.items()
+            if self.first(self.essential_at, 1, r) is not None
+        }
+
+    def subs(self, verdict_of):
+        """One SubIndexVerdict per ref; ``verdict_of(ref)`` gives (rigid, witness)."""
+        return tuple(
+            SubIndexVerdict(ref, True, *verdict_of(ref))
+            if ref.key() in self.essential
+            else SubIndexVerdict(ref, False, None)
+            for ref in self.refs.values()
+        )
+
+    def flag_sub(self, i):
+        if ("a", i) not in self.essential:
+            raise NonEssentialSubIndexError("a%d" % i)
+        levels = tuple(self.levels(self.rigid_at, 1, self.refs["a", i]))
+        return _flag_clause_rigid(self.index, i), levels
+
+    def flag_relation(self, paper_literal):
+        pick = min if paper_literal else max
+        refs = list(self.essential.values())
+        edges = []
+        for src in refs:
+            for dst in refs:
+                if src.position < dst.position:
+                    level = self.first(self.essential_at, pick(src.block, dst.block), dst)
+                    if level is not None:
+                        edges.append(RelationEdge(src, dst, level))
+        return _close_and_grade(refs, edges)
+
+    def implies_relation(self):
+        if self.kind is not SpaceKind.FLAG_ORTH:
+            raise UnsupportedKindError("the => relation is defined on OF indices")
+        n = self.space.ambient
+        refs = list(self.essential.values())
+        edges = []
+        for src in refs:
+            for dst in refs:
+                if src.key() == dst.key():
+                    edges.append(RelationEdge(src, dst))
+                    continue
+                if src.side == "b" and dst.side == "b" and dst.position < src.position:
+                    if 2 * src.value == n - 2:
+                        continue
+                    level = self.first(self.essential_at, min(src.block, dst.block), dst)
+                    if level is not None:
+                        edges.append(RelationEdge(src, dst, level))
+                elif src.side != dst.side and src.value == dst.value:
+                    if 2 * src.value != n - 2:
+                        edges.append(RelationEdge(src, dst))
+        return _close_and_grade(refs, edges)
+
+    def orth_sub(self, implies, ref):
+        """(verdict, witness chain) of an essential OF sub-index under ``=>``."""
+        if all(e.key() != ref.key() for e in implies.elements):
+            raise NonEssentialSubIndexError(ref)
+        for source in implies.elements:
+            if not implies.related(source, ref):
+                continue
+            level = self.first(self.rigid_at, 1, source)
+            if level is not None:
+                return True, ("chain", (_chain_between(implies, source, ref), level))
+        return False, ()
+
+    def compat_relation(self, paper_literal):
+        if self.kind is not SpaceKind.FLAG_ORTH:
+            raise UnsupportedKindError("the OF compatibility relation needs an OF index")
+        n = self.space.ambient
+        refs = list(self.essential.values())
+        pick = min if paper_literal else max
+        edges = []
+        for src in refs:
+            for dst in refs:
+                if src.key() == dst.key():
+                    continue
+                threshold = pick(src.block, dst.block)
+                if src.side == "a" and dst.side == "a":
+                    if src.position > dst.position:
+                        continue
+                    if n % 2 == 0 and 2 * dst.value == n:
+                        edges.append(RelationEdge(src, dst))
+                        continue
+                    level = self.first(self.essential_at, threshold, dst)
+                elif src.side == "a" and dst.side == "b":
+                    if src.value <= dst.value:
+                        edges.append(RelationEdge(src, dst))
+                    continue
+                elif src.side == "b" and dst.side == "a":
+                    if src.value > dst.value or 2 * src.value == n - 2:
+                        continue
+                    level = self.first(self.essential_at, threshold, src, dst)
+                else:
+                    if src.position > dst.position:
+                        continue
+                    level = self.first(self.essential_at, threshold, src)
+                if level is not None:
+                    edges.append(RelationEdge(src, dst, level))
+        return _close_and_grade(refs, edges)
+
+
+def _ordered_verdict(space, index, subs, relation):
+    """All essential sub-indices rigid and the essential set totally ordered."""
+    return RigidityVerdict(
+        space=space,
+        index=index,
+        subs=subs,
+        class_rigid=all(v.rigid for v in subs if v.essential) and relation.totally_ordered,
+        relation=relation,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +519,13 @@ def rigid_subindex_grass(space, index, i):
     """Four-clause Grassmannian test; ``i`` must be essential."""
     if i not in essential_grass(space, index):
         raise NonEssentialSubIndexError("a%d" % i)
-    a = index.a
-    k = len(a)
+    return _grass_rigid(index.a, i)
+
+
+def _grass_rigid(a, i):
     a_prev = a[i - 2] if i >= 2 else 0
-    a_next = a[i] if i < k else inf
-    return i == k or a[i - 1] == i or a[i - 1] <= a_next - 3 or a[i - 1] == a_prev + 1
+    a_next = a[i] if i < len(a) else inf
+    return i == len(a) or a[i - 1] == i or a[i - 1] <= a_next - 3 or a[i - 1] == a_prev + 1
 
 
 def _flag_clause_rigid(index, i):
@@ -399,28 +568,7 @@ def rigid_subindex_flag(space, index, i):
     t >= alpha_i at which the entry is rigid in the t-th push-forward.  The
     two computations agree (exhaustively tested).
     """
-    flag_space, flagged = _as_flagged(space, index)
-    if i not in essential_flag_positions(flag_space, flagged):
-        raise NonEssentialSubIndexError("a%d" % i)
-    verdict = _flag_clause_rigid(flagged, i)
-    levels = rigid_levels_flag(flag_space, flagged, i)
-    return verdict, tuple(levels)
-
-
-def rigid_levels_flag(space, index, i):
-    """Levels t >= alpha_i at which a_i is essential and rigid in pi_t."""
-    levels = []
-    k = space.blocks
-    ref = find_ref(index, "a", i)
-    for t in range(index.alpha[i - 1], k + 1):
-        if not _essential_in_pushforward(space, index, ref, t):
-            continue
-        image = pushforward_flag(space, index, t)
-        a_kept, _ = _image_entry_positions(index, t)
-        pos = a_kept.index(i) + 1
-        if rigid_subindex_grass(target_space(space, t), image, pos):
-            levels.append(t)
-    return levels
+    return _ClassAnalysis(space, index).flag_sub(i)
 
 
 def relation_flag(space, index, paper_literal=False):
@@ -429,54 +577,19 @@ def relation_flag(space, index, paper_literal=False):
     Edge a_i -> a_j (i < j) when a_j is essential in some push-forward at a
     level >= max(alpha_i, alpha_j); ``paper_literal`` restores min.
     """
-    flag_space, flagged = _as_flagged(space, index)
-    essentials = sorted(essential_flag_positions(flag_space, flagged))
-    refs = {i: find_ref(flagged, "a", i) for i in essentials}
-    k = flag_space.blocks
-    edges = []
-    for i in essentials:
-        for j in essentials:
-            if i >= j:
-                continue
-            thr = (min if paper_literal else max)(
-                flagged.alpha[i - 1], flagged.alpha[j - 1]
-            )
-            level = _first_essential_level(flag_space, flagged, refs[j], thr)
-            if level is not None:
-                edges.append(RelationEdge(refs[i], refs[j], level))
-    return _close_and_grade([refs[i] for i in essentials], edges)
-
-
-def _first_essential_level(space, index, ref, threshold):
-    k = space.blocks
-    for t in range(max(threshold, ref.block), k + 1):
-        if _essential_in_pushforward(space, index, ref, t):
-            return t
-    return None
+    return _ClassAnalysis(space, index).flag_relation(paper_literal)
 
 
 def rigid_class_flag(space, index, paper_literal=False):
     """Class verdict for G(k,n) and F(d;n): all essential rigid + total order."""
-    flag_space, flagged = _as_flagged(space, index)
-    check_valid(flag_space, flagged)
-    essentials = essential_flag_positions(flag_space, flagged)
-    subs = []
-    for ref in make_refs(flagged):
-        if ref.position in essentials:
-            verdict, levels = rigid_subindex_flag(flag_space, flagged, ref.position)
-            subs.append(
-                SubIndexVerdict(ref, True, verdict, ("levels", levels) if levels else ())
-            )
-        else:
-            subs.append(SubIndexVerdict(ref, False, None))
-    relation = relation_flag(flag_space, flagged, paper_literal)
-    all_rigid = all(v.rigid for v in subs if v.essential)
-    return RigidityVerdict(
-        space=space,
-        index=index,
-        subs=tuple(subs),
-        class_rigid=all_rigid and relation.totally_ordered,
-        relation=relation,
+    analysis = _ClassAnalysis(space, index)
+
+    def verdict_of(ref):
+        verdict, levels = analysis.flag_sub(ref.position)
+        return verdict, ("levels", levels) if levels else ()
+
+    return _ordered_verdict(
+        space, index, analysis.subs(verdict_of), analysis.flag_relation(paper_literal)
     )
 
 
@@ -513,27 +626,29 @@ def _a_side_not_rigid(space, index, i):
     return a_i - a_prev >= 2 and a[i] - a_i == 2 + between
 
 
+def _b_value_clause(space, index, j):
+    """b_j is also an a-value and #{a_i <= b_j} > k - j + b_j - (n-3)/2."""
+    b_j = index.b[j - 1]
+    return b_j in index.a and Fraction(_count_a_below(index, b_j)) > _bound(
+        space.ambient, space.top_step, j, b_j
+    )
+
+
+def _orth_rigid(space, index, key):
+    """The clause test for an essential OG sub-index, on a valid index."""
+    side, j = key
+    if side == "a":
+        return not _a_side_not_rigid(space, index, j)
+    return index.b[j - 1] == 0 or any(
+        _b_value_clause(space, index, j2) for j2 in range(j, len(index.b) + 1)
+    )
+
+
 def rigid_subindex_orthgrass(space, index, ref):
     """Exact clause evaluation for an essential OG sub-index."""
-    check_valid(space, index)
-    keys = essential_orthgrass(space, index)
-    if ref.key() not in keys:
+    if ref.key() not in essential_orthgrass(space, index):
         raise NonEssentialSubIndexError(ref)
-    n = space.ambient
-    k = space.top_step
-    if ref.side == "a":
-        return not _a_side_not_rigid(space, index, ref.position)
-    j = ref.position
-    b_j = index.b[j - 1]
-    if b_j == 0:
-        return True
-    for j2 in range(j, len(index.b) + 1):
-        b_val = index.b[j2 - 1]
-        if b_val in index.a and Fraction(_count_a_below(index, b_val)) > _bound(
-            n, k, j2, b_val
-        ):
-            return True
-    return False
+    return _orth_rigid(space, index, ref.key())
 
 
 def rigid_class_orthgrass(space, index):
@@ -541,24 +656,16 @@ def rigid_class_orthgrass(space, index):
     check_valid(space, index)
     if space.kind is not SpaceKind.GRASS_ORTH:
         raise UnsupportedKindError("rigid_class_orthgrass needs an OG(k,n) pair")
-    n = space.ambient
-    k = space.top_step
     keys = essential_orthgrass(space, index)
-    subs = []
-    for ref in make_refs(index):
-        if ref.key() in keys:
-            subs.append(
-                SubIndexVerdict(ref, True, rigid_subindex_orthgrass(space, index, ref))
-            )
-        else:
-            subs.append(SubIndexVerdict(ref, False, None))
+    subs = tuple(
+        SubIndexVerdict(ref, True, _orth_rigid(space, index, ref.key()))
+        if ref.key() in keys
+        else SubIndexVerdict(ref, False, None)
+        for ref in make_refs(index)
+    )
     notes = ()
     if index.b:
-        gamma = max(j for (side, j) in keys if side == "b")
-        b_gamma = index.b[gamma - 1]
-        cond1 = b_gamma in index.a and Fraction(
-            _count_a_below(index, b_gamma)
-        ) > _bound(n, k, gamma, b_gamma)
+        cond1 = _b_value_clause(space, index, max(j for (side, j) in keys if side == "b"))
     else:
         cond1 = True
         notes = ("no co-condition part: largest-essential-b condition is vacuous",)
@@ -569,7 +676,7 @@ def rigid_class_orthgrass(space, index):
     return RigidityVerdict(
         space=space,
         index=index,
-        subs=tuple(subs),
+        subs=subs,
         class_rigid=cond1 and cond2,
         notes=notes,
     )
@@ -577,11 +684,6 @@ def rigid_class_orthgrass(space, index):
 
 # ---------------------------------------------------------------------------
 # orthogonal flags
-
-
-def _of_essential_refs(space, index):
-    keys = essential_flag(space, index)
-    return [ref for ref in make_refs(index) if ref.key() in keys]
 
 
 def implies_relation_orthflag(space, index):
@@ -592,49 +694,7 @@ def implies_relation_orthflag(space, index):
     when the values agree (and differ from n/2 - 1).  Closed reflexively and
     transitively.
     """
-    check_valid(space, index)
-    if space.kind is not SpaceKind.FLAG_ORTH:
-        raise UnsupportedKindError("the => relation is defined on OF indices")
-    n = space.ambient
-    refs = _of_essential_refs(space, index)
-    edges = []
-    for src in refs:
-        for dst in refs:
-            if src.key() == dst.key():
-                edges.append(RelationEdge(src, dst))
-                continue
-            if src.side == "b" and dst.side == "b" and dst.position < src.position:
-                if 2 * src.value == n - 2:
-                    continue
-                level = _first_essential_level(
-                    space, index, dst, min(src.block, dst.block)
-                )
-                if level is not None:
-                    edges.append(RelationEdge(src, dst, level))
-            elif src.side != dst.side and src.value == dst.value:
-                if 2 * src.value != n - 2:
-                    edges.append(RelationEdge(src, dst))
-    return _close_and_grade(refs, edges)
-
-
-def _rigid_levels_orthpair_entry(space, index, ref):
-    """Levels at which ``ref`` is essential and rigid in the push-forward."""
-    levels = []
-    k = space.blocks
-    for t in range(ref.block, k + 1):
-        if not _essential_in_pushforward(space, index, ref, t):
-            continue
-        image = pushforward_pair_flag(space, index, t)
-        a_kept, b_kept = _image_entry_positions(index, t)
-        if ref.side == "a":
-            pos = a_kept.index(ref.position) + 1
-        else:
-            pos = b_kept.index(ref.position) + 1
-        tgt = target_space(space, t)
-        image_ref = find_ref(image, ref.side, pos)
-        if rigid_subindex_orthgrass(tgt, image, image_ref):
-            levels.append(t)
-    return levels
+    return _ClassAnalysis(space, index).implies_relation()
 
 
 def rigid_subindex_orthflag(space, index, ref):
@@ -643,18 +703,8 @@ def rigid_subindex_orthflag(space, index, ref):
     Rigid exactly when some essential entry related to it under ``=>`` is
     rigid in a push-forward; the witness records the chain and the level.
     """
-    check_valid(space, index)
-    relation = implies_relation_orthflag(space, index)
-    if all(e.key() != ref.key() for e in relation.elements):
-        raise NonEssentialSubIndexError(ref)
-    for source in relation.elements:
-        if not relation.related(source, ref):
-            continue
-        levels = _rigid_levels_orthpair_entry(space, index, source)
-        if levels:
-            chain = _chain_between(relation, source, ref)
-            return True, ("chain", (chain, levels[0]))
-    return False, ()
+    analysis = _ClassAnalysis(space, index)
+    return analysis.orth_sub(analysis.implies_relation(), ref)
 
 
 def _chain_between(relation, source, target):
@@ -680,76 +730,14 @@ def _chain_between(relation, source, target):
 
 def compat_relation_orthflag(space, index, paper_literal=False):
     """The four-clause compatibility relation on essential OF sub-indices."""
-    check_valid(space, index)
-    if space.kind is not SpaceKind.FLAG_ORTH:
-        raise UnsupportedKindError("the OF compatibility relation needs an OF index")
-    n = space.ambient
-    refs = _of_essential_refs(space, index)
-    pick = min if paper_literal else max
-    edges = []
-    for src in refs:
-        for dst in refs:
-            if src.key() == dst.key():
-                continue
-            if src.side == "a" and dst.side == "a":
-                if src.position > dst.position:
-                    continue
-                if n % 2 == 0 and 2 * dst.value == n:
-                    edges.append(RelationEdge(src, dst))
-                    continue
-                level = _first_essential_level(space, index, dst, pick(src.block, dst.block))
-                if level is not None:
-                    edges.append(RelationEdge(src, dst, level))
-            elif src.side == "a" and dst.side == "b":
-                if src.value <= dst.value:
-                    edges.append(RelationEdge(src, dst))
-            elif src.side == "b" and dst.side == "a":
-                if src.value > dst.value or 2 * src.value == n - 2:
-                    continue
-                level = _common_essential_level(
-                    space, index, src, dst, pick(dst.block, src.block)
-                )
-                if level is not None:
-                    edges.append(RelationEdge(src, dst, level))
-            else:
-                if src.position > dst.position:
-                    continue
-                level = _first_essential_level(space, index, src, pick(src.block, dst.block))
-                if level is not None:
-                    edges.append(RelationEdge(src, dst, level))
-    return _close_and_grade(refs, edges)
-
-
-def _common_essential_level(space, index, ref1, ref2, threshold):
-    k = space.blocks
-    start = max(threshold, ref1.block, ref2.block)
-    for t in range(start, k + 1):
-        if _essential_in_pushforward(space, index, ref1, t) and _essential_in_pushforward(
-            space, index, ref2, t
-        ):
-            return t
-    return None
+    return _ClassAnalysis(space, index).compat_relation(paper_literal)
 
 
 def rigid_class_orthflag(space, index, paper_literal=False):
-    check_valid(space, index)
-    keys = essential_flag(space, index)
-    subs = []
-    for ref in make_refs(index):
-        if ref.key() in keys:
-            verdict, witness = rigid_subindex_orthflag(space, index, ref)
-            subs.append(SubIndexVerdict(ref, True, verdict, witness))
-        else:
-            subs.append(SubIndexVerdict(ref, False, None))
-    relation = compat_relation_orthflag(space, index, paper_literal)
-    all_rigid = all(v.rigid for v in subs if v.essential)
-    return RigidityVerdict(
-        space=space,
-        index=index,
-        subs=tuple(subs),
-        class_rigid=all_rigid and relation.totally_ordered,
-        relation=relation,
-    )
+    analysis = _ClassAnalysis(space, index)
+    implies = analysis.implies_relation()
+    subs = analysis.subs(lambda ref: analysis.orth_sub(implies, ref))
+    return _ordered_verdict(space, index, subs, analysis.compat_relation(paper_literal))
 
 
 # ---------------------------------------------------------------------------
@@ -785,12 +773,12 @@ def rigid_symp(space, index):
     """Partial verdict for SG/SF classes: True where a sufficient condition
     applies, None (unknown) otherwise — the criteria are one-sided for type C.
     """
-    check_valid(space, index)
+    analysis = _ClassAnalysis(space, index)
     if space.kind is SpaceKind.GRASS_SYMP:
         keys = essential_symp_pair(space, index)
         family = _is_rigid_family(space, index)
         subs = []
-        for ref in make_refs(index):
+        for ref in analysis.refs.values():
             essential = ref.key() in keys
             rigid = None
             witness = ()
@@ -811,27 +799,16 @@ def rigid_symp(space, index):
         )
     if space.kind is not SpaceKind.FLAG_SYMP:
         raise UnsupportedKindError("rigid_symp needs an SG or SF index")
-    keys = essential_flag(space, index)
-    k = space.blocks
-    subs = []
-    for ref in make_refs(index):
-        essential = ref.key() in keys
-        rigid = None
-        witness = ()
-        if essential and ref.side == "a":
-            for t in range(ref.block, k + 1):
-                image = pushforward_pair_flag(space, index, t)
-                a_kept, _ = _image_entry_positions(index, t)
-                pos = a_kept.index(ref.position) + 1
-                if _sg_sufficient(target_space(space, t), image, pos):
-                    rigid = True
-                    witness = ("levels", (t,))
-                    break
-        subs.append(SubIndexVerdict(ref, essential, rigid, witness))
+
+    def verdict_of(ref):
+        # rigid_at is False on the b side: type C has no b-side condition
+        level = analysis.first(analysis.rigid_at, 1, ref)
+        return (None, ()) if level is None else (True, ("levels", (level,)))
+
     return RigidityVerdict(
         space=space,
         index=index,
-        subs=tuple(subs),
+        subs=analysis.subs(verdict_of),
         class_rigid=None,
         notes=("type-C flag classes carry no class-level sufficient criterion",),
     )

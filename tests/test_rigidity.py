@@ -336,6 +336,25 @@ class TestSymplectic:
         assert verdict.class_rigid is None
 
 
+class TestOnePushForwardPerLevel:
+    def test_each_level_pushed_forward_at_most_once(self, monkeypatch):
+        levels = []
+        for name in ("pushforward_flag", "pushforward_pair_flag"):
+            original = getattr(rigidity, name)
+
+            def counted(space, index, t, original=original):
+                levels.append(t)
+                return original(space, index, t)
+
+            monkeypatch.setattr(rigidity, name, counted)
+        for text in ("F(1,2,3,4;8)", "OF(2,4;13)", "SF(2,4;12)"):
+            sp = parse_space(text)
+            for idx in list(enumerate_indices(sp))[::40]:
+                levels.clear()
+                rigidity.classify(sp, idx)
+                assert len(levels) == len(set(levels)) <= sp.blocks, (text, str(idx))
+
+
 GOLDEN_VERDICTS = pathlib.Path(__file__).parent / "data" / "verdicts_golden.jsonl"
 GOLDEN_SPACES = (
     "G(4,8)",
