@@ -10,17 +10,19 @@ from collections import Counter
 from itertools import combinations, permutations
 
 from . import chow, multirigid, projections, restriction, rigidity
-from .errors import UnsupportedDegenerationError
+from .errors import UnsupportedDegenerationError, ValidationError
 from .indices import (
     SpaceDescriptor,
     SpaceKind,
+    class_count,
     dimension,
     dual,
     enumerate_indices,
     lambda_notation,
+    pair_index,
     plain_index,
 )
-from .parser import parse_index
+from .parser import parse_index, parse_sequence, parse_space
 
 
 class CheckFailure(AssertionError):
@@ -30,12 +32,6 @@ class CheckFailure(AssertionError):
 def _expect(condition, detail):
     if not condition:
         raise CheckFailure(detail)
-
-
-def _space(text):
-    from .parser import parse_space
-
-    return parse_space(text)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +71,7 @@ def check_pushforward_examples():
 
 def check_removal_rule_pairing_sweep():
     """Identify each push-forward by pairing against complementary classes."""
-    space = _space("F(1,2;5)")
+    space = parse_space("F(1,2;5)")
     checked = 0
     for idx in enumerate_indices(space):
         for t in (1, 2):
@@ -177,32 +173,40 @@ def check_lr_jacobi_trudi_sweep():
     return "%d ordered pairs checked" % checked
 
 
-def _flag_spaces(max_n, max_steps):
+def _spaces(kinds, max_n, max_steps):
+    """Every space of ``kinds`` with n <= max_n and <= max_steps steps; OG/OF
+    with n = 2 d_k once per component."""
     for n in range(2, max_n + 1):
         for size in range(1, max_steps + 1):
             for steps in combinations(range(1, n + 1), size):
-                yield SpaceDescriptor(SpaceKind.FLAG_A, steps, n)
+                for kind in kinds:
+                    maximal = kind.is_orth and n == 2 * steps[-1]
+                    for component in (True, False) if maximal else (None,):
+                        try:
+                            yield SpaceDescriptor(kind, steps, n, component)
+                        except ValidationError:
+                            continue  # no such space, e.g. OG with d_k > n/2
 
 
 def check_flag_corollary_equivalence_sweep():
-    """Closed-form flag essentialness and rigidity == the projection definitions."""
+    """Closed-form flag essentialness and rigidity == the projection definitions,
+    read per level off one analysis per class: the image through the removal
+    rule, then the essential and rigid tests in that image."""
     checked = 0
-    for space in _flag_spaces(max_n=7, max_steps=3):
-        k = space.blocks
+    for space in _spaces((SpaceKind.FLAG_A,), max_n=7, max_steps=3):
         for idx in enumerate_indices(space):
-            essentials = rigidity.essential_flag_positions(space, idx)
-            for ref in rigidity.make_refs(idx):
-                via_projection = any(
-                    rigidity._essential_in_pushforward(space, idx, ref, t)
-                    for t in range(ref.block, k + 1)
-                )
+            analysis = rigidity._ClassAnalysis(space, idx)
+            essentials = rigidity._flag_essential(idx)
+            for ref in analysis.refs.values():
+                via_projection = analysis.first(analysis.essential_at, 1, ref) is not None
                 _expect(
                     (ref.position in essentials) == via_projection,
                     "essential closed form mismatch for a_%d of %s @ %s"
                     % (ref.position, idx, space),
                 )
             for i in sorted(essentials):
-                verdict, levels = rigidity.rigid_subindex_flag(space, idx, i)
+                verdict = rigidity._flag_clause_rigid(idx, i)
+                levels = tuple(analysis.levels(analysis.rigid_at, 1, analysis.refs["a", i]))
                 _expect(
                     verdict == bool(levels),
                     "clause/projection mismatch for a_%d of %s @ %s: %s vs %s"
@@ -244,8 +248,6 @@ def check_orthogonal_examples():
 
 
 def check_restriction_expansion():
-    from .parser import parse_sequence
-
     seq = parse_sequence("F:2 | Q:6^0 @ OG(2,7)")
     cls, _trace = restriction.expand(seq)
     space, s11 = parse_index("(1|1) @ OG(2,7)")
@@ -295,7 +297,7 @@ def check_fiber_consistency_sweep():
     """Boundary reductions and dimension additivity for the fiber classes."""
     checked = 0
     for text in ("F(1,2;4)", "F(1,2,3;5)"):
-        space = _space(text)
+        space = parse_space(text)
         k = space.blocks
         for idx in enumerate_indices(space):
             top = projections.fiber_class_top(space, idx)
@@ -323,8 +325,6 @@ def check_fiber_consistency_sweep():
 
 def check_symplectic_family():
     """The (1..i; i..k-1) family is rigid in SG(k, 2k+2) for k <= 4."""
-    from .indices import pair_index
-
     checked = 0
     for k in range(1, 5):
         n = 2 * k + 2
@@ -436,6 +436,23 @@ def check_class_rigid_implies_subs_og():
     return "%d classes checked" % checked
 
 
+def check_class_count_sweep():
+    """class_count == the enumerated count, every kind, <= 3 steps, n <= 12.
+
+    Type-A flags stop at n = 8: F(d;12) alone holds 15.7 million classes.
+    """
+    others = [kind for kind in SpaceKind if kind is not SpaceKind.FLAG_A]
+    spaces = [*_spaces(others, 12, 3), *_spaces((SpaceKind.FLAG_A,), 8, 3)]
+    for space in spaces:
+        got = sum(1 for _ in enumerate_indices(space))
+        _expect(
+            got == class_count(space),
+            "%s enumerates %d classes, class_count says %d"
+            % (space, got, class_count(space)),
+        )
+    return "%d spaces checked" % len(spaces)
+
+
 QUICK_CHECKS = (
     ("flag rigidity examples", check_flag_rigidity_examples),
     ("push-forward examples", check_pushforward_examples),
@@ -456,6 +473,7 @@ FULL_CHECKS = QUICK_CHECKS + (
     ("leading term law", check_leading_term_law),
     ("expansion dimension conservation", check_expand_dimension_conservation),
     ("OG class verdict implies sub-index verdicts", check_class_rigid_implies_subs_og),
+    ("class count sweep", check_class_count_sweep),
 )
 
 

@@ -19,6 +19,7 @@ from .indices import (
     dimension,
     dual,
     enumerate_indices,
+    index_to_json,
     render_literal,
 )
 from .parser import parse_index, parse_sequence, parse_space
@@ -39,8 +40,6 @@ def _parse_sub(raw):
 
 
 def cmd_validate(args):
-    from .indices import index_to_json
-
     try:
         space, index = parse_index(args.literal)
     except ValidationError as exc:

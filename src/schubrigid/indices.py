@@ -11,6 +11,11 @@ and their symplectic analogues SG/SF.  Indices come in four shapes:
 
 b-sequences are always stored ascending.  Everything here is immutable and
 pure; callers may share objects freely across threads.
+
+``validate`` checks an index once, at the public entry points; code behind
+them trusts its input.  ``enumerate_indices`` yields valid indices by
+construction and ``class_count`` is their exact number; all three read the
+n = 2 d_k parity rule from ``_component_parity``.
 """
 from __future__ import annotations
 
@@ -19,9 +24,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .errors import (
+    CoefficientOverflowError,
     EnumerationCapError,
     UnsupportedKindError,
     ValidationError,
@@ -269,14 +275,11 @@ def index_to_json(space, index, valid=None, errors=None):
 # validation
 
 
-def _expected_shape(kind):
-    if kind is SpaceKind.GRASS_A:
-        return (False, False)
-    if kind is SpaceKind.FLAG_A:
-        return (True, False)
-    if kind in (SpaceKind.GRASS_ORTH, SpaceKind.GRASS_SYMP):
-        return (False, True)
-    return (True, True)
+def _component_parity(space):
+    """s mod 2 on OG/OF with n = 2 d_k: d_k mod 2, flipped by component_choice=False."""
+    if not (space.kind.is_orth and space.ambient == 2 * space.top_step):
+        return None
+    return (space.top_step + (space.component_choice is False)) % 2
 
 
 def _strictly_increasing(seq):
@@ -286,15 +289,13 @@ def _strictly_increasing(seq):
 def validate(space, index):
     """Report every violated invariant; an empty report means the index is valid."""
     problems = []
-    want_flagged, want_paired = _expected_shape(space.kind)
-    if index.flagged != want_flagged or index.paired != want_paired:
+    if (index.flagged, index.paired) != (space.kind.is_flag, space.kind.is_paired):
         problems.append(
             "index shape does not match space kind %s" % space.kind.value
         )
         return problems
 
     n = space.ambient
-    k = space.blocks
     d_k = space.top_step
 
     if not _strictly_increasing(index.a):
@@ -335,15 +336,12 @@ def validate(space, index):
         for b_j in index.b:
             if a_i == b_j + 1:
                 problems.append("a_i = b_j + 1 for a_i=%d, b_j=%d" % (a_i, b_j))
-    if space.kind.is_orth and n == 2 * d_k:
-        want = d_k % 2
-        if space.component_choice is False:
-            want = (d_k + 1) % 2
-        if len(index.a) % 2 != want:
-            problems.append(
-                "s = %d violates the parity rule s = d_k (mod 2) for n = 2 d_k"
-                % len(index.a)
-            )
+    parity = _component_parity(space)
+    if parity is not None and len(index.a) % 2 != parity:
+        problems.append(
+            "s = %d violates the parity rule s = d_k (mod 2) for n = 2 d_k"
+            % len(index.a)
+        )
     if index.flagged:
         problems.extend(_check_blocks([index.alpha, index.beta], space))
     return problems
@@ -499,35 +497,21 @@ def rank_table(space, index):
 # enumeration
 
 
-def _binom(n, k):
-    return math.comb(n, k) if 0 <= k <= n else 0
+def class_count(space):
+    """The exact number of Schubert classes, |W|/|W_P| (Bjorner-Brenti, ch. 2).
 
-
-def _block_arrangements(space):
-    """All distinct block-label sequences of length d_k honoring the block sizes."""
-    labels = []
-    for t, size in enumerate(space.block_sizes(), start=1):
-        labels.extend([t] * size)
-    return sorted(set(permutations(labels)))
-
-
-def _count_upper_bound(space):
-    n, k, d_k = space.ambient, space.blocks, space.top_step
-    if space.kind is SpaceKind.GRASS_A:
-        return _binom(n, d_k)
-    if space.kind is SpaceKind.FLAG_A:
-        mult = math.factorial(d_k)
-        for size in space.block_sizes():
-            mult //= math.factorial(size)
-        return _binom(n, d_k) * mult
-    half = space.half
-    pairs = sum(_binom(half, s) * _binom(half, d_k - s) for s in range(d_k + 1))
-    if space.kind in (SpaceKind.GRASS_ORTH, SpaceKind.GRASS_SYMP):
-        return pairs
-    mult = math.factorial(d_k)
+    C(n, d_k) value sets for type A; for the paired kinds a d_k-subset of
+    1..floor(n/2), each value taken as a_i or as b_j + 1, halved by the parity
+    rule when n = 2 d_k.  Flags multiply by the multinomial of block labels.
+    """
+    d_k = space.top_step
+    labels = math.factorial(d_k)
     for size in space.block_sizes():
-        mult //= math.factorial(size)
-    return pairs * mult
+        labels //= math.factorial(size)
+    if space.kind.is_type_a:
+        return math.comb(space.ambient, d_k) * labels
+    count = 2 ** d_k * math.comb(space.half, d_k) * labels
+    return count // 2 if _component_parity(space) is not None else count
 
 
 def enumeration_cap():
@@ -552,64 +536,70 @@ def enumeration_cap():
 def enumerate_indices(space, cap=None):
     """Yield every valid index of ``space`` once, in canonical order.
 
-    The guard compares a cheap upper bound on the raw count against the cap
-    (env SCHUBERT_ENUM_CAP or 10^6), so it is conservative.
+    The order is s descending, then a, then b, then the block labels, each
+    lexicographic.  Indices are valid by construction; none is validated.
+    The guard compares the exact ``class_count`` with the cap (env
+    SCHUBERT_ENUM_CAP or 10^6) before anything is yielded.
     """
     if cap is None:
         cap = enumeration_cap()
-    bound = _count_upper_bound(space)
-    if bound > cap:
+    count = class_count(space)
+    if count > cap:
         raise EnumerationCapError(
-            "enumeration bound %d exceeds cap %d for %s" % (bound, cap, space.render())
+            "class count %d exceeds cap %d for %s" % (count, cap, space.render())
         )
     return _enumerate(space)
 
 
 def _enumerate(space):
-    n, d_k = space.ambient, space.top_step
-    if space.kind is SpaceKind.GRASS_A:
-        for a in combinations(range(1, n + 1), d_k):
-            yield plain_index(a)
+    if not space.kind.is_flag:
+        for a, b in _value_tuples(space):
+            yield SchubertIndex(a=a, b=b)
         return
-    if space.kind is SpaceKind.FLAG_A:
-        arrangements = _block_arrangements(space)
-        for a in combinations(range(1, n + 1), d_k):
-            for labels in arrangements:
-                yield SchubertIndex(a=a, alpha=labels)
+    arrangements = tuple(_label_sequences(space.block_sizes()))
+    for a, b in _value_tuples(space):
+        s = len(a)
+        for labels in arrangements:
+            yield SchubertIndex(
+                a=a, alpha=labels[:s], b=b, beta=None if b is None else labels[s:]
+            )
+
+
+def _value_tuples(space):
+    """(a, b) of every class, labels aside: b is None for type A, and valid b
+    values are those v with v + 1 not in a."""
+    d_k = space.top_step
+    if space.kind.is_type_a:
+        for a in combinations(range(1, space.ambient + 1), d_k):
+            yield a, None
         return
     half = space.half
-    paired_flag = space.kind.is_flag
-    arrangements = _block_arrangements(space) if paired_flag else None
+    parity = _component_parity(space)
     for s in range(d_k, -1, -1):
+        if parity is not None and s % 2 != parity:
+            continue
         for a in combinations(range(1, half + 1), s):
-            for b in combinations(range(0, half), d_k - s):
-                if paired_flag:
-                    if not _paired_values_ok(space, a, b):
-                        continue
-                    for labels in arrangements:
-                        idx = SchubertIndex(
-                            a=a, alpha=labels[:s], b=b, beta=labels[s:]
-                        )
-                        if not validate(space, idx):
-                            yield idx
-                else:
-                    candidate = pair_index(a, b)
-                    if not validate(space, candidate):
-                        yield candidate
+            b_values = [v for v in range(half) if v + 1 not in a]
+            for b in combinations(b_values, d_k - s):
+                yield a, b
 
 
-def _paired_values_ok(space, a, b):
-    for a_i in a:
-        for b_j in b:
-            if a_i == b_j + 1:
-                return False
-    if space.kind.is_orth and space.ambient == 2 * space.top_step:
-        want = space.top_step % 2
-        if space.component_choice is False:
-            want = (space.top_step + 1) % 2
-        if len(a) % 2 != want:
-            return False
-    return True
+def _label_sequences(sizes):
+    """Every sequence holding ``sizes[t-1]`` copies of t, in lexicographic order
+    (Knuth, TAOCP 4A, 7.2.1.2, Algorithm L)."""
+    labels = [t for t, size in enumerate(sizes, start=1) for _ in range(size)]
+    while True:
+        yield tuple(labels)
+        j = len(labels) - 2
+        while j >= 0 and labels[j] >= labels[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(labels) - 1
+        while labels[j] >= labels[m]:
+            m -= 1
+        labels[j], labels[m] = labels[m], labels[j]
+        labels[j + 1 :] = reversed(labels[j + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +617,6 @@ class ChowClass:
 
     @staticmethod
     def from_counter(space, counter):
-        from .errors import CoefficientOverflowError
-
         items = []
         for index, coeff in counter.items():
             if coeff == 0:

@@ -18,10 +18,9 @@ from .errors import (
 from .indices import SpaceDescriptor, SpaceKind, check_valid, dimension
 from .rigidity import (
     RigidityVerdict,
-    SubIndexRef,
     SubIndexVerdict,
+    _orth_essential,
     essential_grass,
-    essential_orthgrass,
     make_refs,
 )
 
@@ -201,11 +200,11 @@ def og_pushforward_leading(space, index, i=None):
         raise UnsupportedKindError("og_pushforward_leading needs an OG(k,n) pair")
     k = space.top_step
     s = index.s
+    keys = _orth_essential(space.ambient, index)
     if i is None:
-        a_positions = [p for (side, p) in essential_orthgrass(space, index) if side == "a"]
-        i = max(a_positions) if a_positions else 0
+        i = max((p for (side, p) in keys if side == "a"), default=0)
     if i:
-        if ("a", i) not in essential_orthgrass(space, index):
+        if ("a", i) not in keys:
             raise NonEssentialSubIndexError("a%d" % i)
         violations = _x_hypothesis_violations(space, index, index.a[i - 1])
     else:
@@ -226,21 +225,22 @@ def multirigid_subindex_og(space, index, ref):
     b-side: true exactly when the value recurs as a multi-rigid a-entry.
     """
     check_valid(space, index)
-    keys = essential_orthgrass(space, index)
+    keys = _orth_essential(space.ambient, index)
     if ref.key() not in keys:
         raise NonEssentialSubIndexError(ref)
-    if ref.side == "b":
-        value = index.b[ref.position - 1]
+    return _multirigid_og(space, index, keys, ref.key())
+
+
+def _multirigid_og(space, index, keys, key):
+    """Unchecked core of ``multirigid_subindex_og`` for an essential key."""
+    side, i = key
+    if side == "b":
+        value = index.b[i - 1]
         if value not in index.a:
             return False
-        a_pos = index.a.index(value) + 1
-        if ("a", a_pos) not in keys:
-            return False
-        return multirigid_subindex_og(space, index, SubIndexRef("a", a_pos, value))
-    s = index.s
-    i = ref.position
-    sentinel = _sentinel_next_a(space, index)
-    a_next = index.a[i] if i < s else sentinel
+        a_key = ("a", index.a.index(value) + 1)
+        return a_key in keys and _multirigid_og(space, index, keys, a_key)
+    a_next = index.a[i] if i < index.s else _sentinel_next_a(space, index)
     if _x_hypothesis_violations(space, index, a_next):
         return False
     a_prev = index.a[i - 2] if i >= 2 else 0
@@ -252,19 +252,17 @@ def multirigid_subindex_og(space, index, ref):
 def multirigid_class_og(space, index):
     """Class-level criterion: every essential a passes, every essential b recurs in a."""
     check_valid(space, index)
-    keys = essential_orthgrass(space, index)
-    subs = []
-    verdict = True
-    for ref in make_refs(index):
-        if ref.key() not in keys:
-            subs.append(SubIndexVerdict(ref, False, None))
-            continue
-        ok = multirigid_subindex_og(space, index, ref)
-        if ref.side == "b" and index.b[ref.position - 1] not in index.a:
-            verdict = False
-        if not ok:
-            verdict = False
-        subs.append(SubIndexVerdict(ref, True, ok))
+    keys = _orth_essential(space.ambient, index)
+    subs = tuple(
+        SubIndexVerdict(ref, True, _multirigid_og(space, index, keys, ref.key()))
+        if ref.key() in keys
+        else SubIndexVerdict(ref, False, None)
+        for ref in make_refs(index)
+    )
+    # an essential b whose value is not an a-value already fails its own test
     return RigidityVerdict(
-        space=space, index=index, subs=tuple(subs), class_rigid=verdict
+        space=space,
+        index=index,
+        subs=subs,
+        class_rigid=all(v.rigid for v in subs if v.essential),
     )

@@ -15,8 +15,7 @@ from .indices import (
     check_valid,
     flagged_index,
     flagged_pair_index,
-    pair_index,
-    plain_index,
+    rank_table,
 )
 
 
@@ -52,11 +51,8 @@ def pushforward_flag(space, index, t):
     if space.kind is not SpaceKind.FLAG_A:
         raise UnsupportedKindError("pushforward_flag needs a FlaggedA index")
     check_valid(space, index)
-    _check_level(space, t)
-    kept = tuple(a for a, al in zip(index.a, index.alpha) if al <= t)
-    result = plain_index(kept)
-    check_valid(target_space(space, t), result)
-    return result
+    # target_space checks the level before the rule runs
+    return check_valid(target_space(space, t), remove_above(index, t))
 
 
 def pushforward_pair_flag(space, index, t):
@@ -64,12 +60,19 @@ def pushforward_pair_flag(space, index, t):
     if space.kind not in (SpaceKind.FLAG_ORTH, SpaceKind.FLAG_SYMP):
         raise UnsupportedKindError("pushforward_pair_flag needs an OF or SF index")
     check_valid(space, index)
-    _check_level(space, t)
-    a_kept = tuple(a for a, al in zip(index.a, index.alpha) if al <= t)
-    b_kept = tuple(b for b, be in zip(index.b, index.beta) if be <= t)
-    result = pair_index(a_kept, b_kept)
-    check_valid(target_space(space, t), result)
-    return result
+    # target_space checks the level before the rule runs
+    return check_valid(target_space(space, t), remove_above(index, t))
+
+
+def remove_above(index, t):
+    """The removal rule, unchecked: the image under pi_t of a valid flagged index.
+
+    Every entry whose block label exceeds t is dropped; labels go with it.
+    """
+    a = tuple(v for v, al in zip(index.a, index.alpha) if al <= t)
+    if index.b is None:
+        return SchubertIndex(a=a)
+    return SchubertIndex(a=a, b=tuple(v for v, be in zip(index.b, index.beta) if be <= t))
 
 
 def fiber_class_top(space, index):
@@ -118,8 +121,6 @@ def fiber_class_orth(space, index, m):
         raise UnsupportedKindError("fiber_class_orth needs a FlaggedOrthPair")
     check_valid(space, index)
     _check_level(space, m)
-    from .indices import rank_table
-
     table = rank_table(space, index)
     s = index.s
     mu_s_m = table.mu[s - 1][m - 1] if s else 0

@@ -30,6 +30,10 @@ level, first common essential level, rigid levels, the SF a_i = i test --
 is one walk over that table, so each push-forward is computed at most once
 per class.  The public functions are thin entry points that build an
 analysis for their one call; nothing is cached across calls.
+
+Each public function validates its index once, where it enters; what runs
+behind it -- ``remove_above``, the essential cores ``_gap_positions`` /
+``_orth_essential`` / ``_symp_essential`` and the clause tests -- trusts it.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .indices import SchubertIndex, SpaceDescriptor, SpaceKind, check_valid
-from .projections import pushforward_flag, pushforward_pair_flag, target_space
+from .projections import remove_above, target_space
 
 
 # ---------------------------------------------------------------------------
@@ -223,36 +227,13 @@ class RigidityVerdict:
 def essential_grass(space, index):
     """Positions i with i = k or a_i < a_{i+1} - 1."""
     check_valid(space, index)
-    k = len(index.a)
-    return {
-        i
-        for i in range(1, k + 1)
-        if i == k or index.a[i - 1] < index.a[i] - 1
-    }
+    return _gap_positions(index.a)
 
 
 def essential_orthgrass(space, index):
     """Essential keys for an OG(k,n) pair, per the three a-side clauses."""
     check_valid(space, index)
-    n = space.ambient
-    s = index.s
-    keys = set()
-    for i in range(1, s + 1):
-        if i < s:
-            if index.a[i - 1] < index.a[i] - 1:
-                keys.add(("a", i))
-        else:
-            if n % 2 == 1:
-                keys.add(("a", i))
-            elif not index.b:
-                # even n with no co-condition: treated like the odd-n clause
-                keys.add(("a", i))
-            elif index.a[s - 1] + index.b[-1] != n - 2:
-                keys.add(("a", i))
-    for j in range(1, len(index.b) + 1):
-        if j == 1 or index.b[j - 1] != index.b[j - 2] + 1:
-            keys.add(("b", j))
-    return keys
+    return _orth_essential(space.ambient, index)
 
 
 def essential_symp_pair(space, index):
@@ -262,15 +243,32 @@ def essential_symp_pair(space, index):
     never feeds a rigidity conclusion by itself.
     """
     check_valid(space, index)
+    return _symp_essential(index)
+
+
+def _gap_positions(a):
+    """Positions i with i = len(a) or a_i < a_{i+1} - 1: the G(k,n) essential set."""
+    return {i for i in range(1, len(a) + 1) if i == len(a) or a[i - 1] < a[i] - 1}
+
+
+def _b_essential(b):
+    """b_1, and every b_j that does not continue a run b_{j-1} + 1."""
+    return {("b", j) for j in range(1, len(b) + 1) if j == 1 or b[j - 1] != b[j - 2] + 1}
+
+
+def _orth_essential(n, index):
+    """Unchecked core of ``essential_orthgrass``: a_s is essential unless n is even,
+    b is present and a_s + b_last = n - 2."""
     s = index.s
-    keys = set()
-    for i in range(1, s + 1):
-        if i == s or index.a[i - 1] < index.a[i] - 1:
-            keys.add(("a", i))
-    for j in range(1, len(index.b) + 1):
-        if j == 1 or index.b[j - 1] != index.b[j - 2] + 1:
-            keys.add(("b", j))
-    return keys
+    keys = {("a", i) for i in _gap_positions(index.a) if i < s}
+    if s and (n % 2 == 1 or not index.b or index.a[-1] + index.b[-1] != n - 2):
+        keys.add(("a", s))
+    return keys | _b_essential(index.b)
+
+
+def _symp_essential(index):
+    """Unchecked core of ``essential_symp_pair``."""
+    return {("a", i) for i in _gap_positions(index.a)} | _b_essential(index.b)
 
 
 def _as_flagged(space, index):
@@ -296,13 +294,6 @@ def essential_flag_positions(space, index):
     return _flag_essential(index)
 
 
-def _essential_in_pushforward(space, index, ref, t):
-    """Is ``ref`` (present at level t) essential in the t-th push-forward?"""
-    if ref.block is None or ref.block > t:
-        return False
-    return _ClassAnalysis(space, index).essential_at(ref.key(), t)
-
-
 def essential_flag(space, index):
     """Essential keys for any flagged kind.
 
@@ -323,11 +314,12 @@ class _ClassAnalysis:
     """What the verdicts on one class read, each fact computed once.
 
     The index is validated here, once, after G(k,n) is viewed as F(k;n), and
-    the refs are held by key.  For a projection level t, on first use, the
-    image under pi_t (``pushforward_flag`` / ``pushforward_pair_flag``, the
-    only removal rule), its target space, the image key of every surviving
-    ref and the image's essential keys are stored; whether a ref is rigid in
-    pi_t is memoized per (ref, t).  An analysis lives for one call.
+    the refs are held by key; everything after that runs unchecked cores.
+    For a projection level t, on first use, the image under pi_t
+    (``remove_above``, the one removal rule), its target space, the image key
+    of every surviving ref and the image's essential keys are stored; whether
+    a ref is rigid in pi_t is memoized per (ref, t).  An analysis lives for
+    one call.
     """
 
     def __init__(self, space, index):
@@ -344,16 +336,14 @@ class _ClassAnalysis:
     def level(self, t):
         """(target space, image, {class key: image key}, image essential keys) of pi_t."""
         if t not in self._levels:
-            flag_a = self.kind is SpaceKind.FLAG_A
-            push = pushforward_flag if flag_a else pushforward_pair_flag
-            image = push(self.space, self.index, t)
+            image = remove_above(self.index, t)
             target = target_space(self.space, t)
-            if flag_a:
-                essential = {("a", i) for i in essential_grass(target, image)}
+            if self.kind is SpaceKind.FLAG_A:
+                essential = {("a", i) for i in _gap_positions(image.a)}
             elif self.kind is SpaceKind.FLAG_ORTH:
-                essential = essential_orthgrass(target, image)
+                essential = _orth_essential(target.ambient, image)
             else:
-                essential = essential_symp_pair(target, image)
+                essential = _symp_essential(image)
             kept = {}
             for side in "ab":
                 survivors = [r for r in self.refs.values() if r.side == side and r.block <= t]
@@ -656,7 +646,7 @@ def rigid_class_orthgrass(space, index):
     check_valid(space, index)
     if space.kind is not SpaceKind.GRASS_ORTH:
         raise UnsupportedKindError("rigid_class_orthgrass needs an OG(k,n) pair")
-    keys = essential_orthgrass(space, index)
+    keys = _orth_essential(space.ambient, index)
     subs = tuple(
         SubIndexVerdict(ref, True, _orth_rigid(space, index, ref.key()))
         if ref.key() in keys
@@ -775,7 +765,7 @@ def rigid_symp(space, index):
     """
     analysis = _ClassAnalysis(space, index)
     if space.kind is SpaceKind.GRASS_SYMP:
-        keys = essential_symp_pair(space, index)
+        keys = _symp_essential(index)
         family = _is_rigid_family(space, index)
         subs = []
         for ref in analysis.refs.values():

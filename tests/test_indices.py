@@ -1,6 +1,8 @@
 """Index shapes: parsing, validation, dimension, duality, rank tables, enumeration."""
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from oracles import count_flag_schubert_points, dim_by_rank_conditions
@@ -302,6 +304,17 @@ class TestEnumeration:
         monkeypatch.setenv("SCHUBERT_ENUM_CAP", "3")
         with pytest.raises(EnumerationCapError):
             list(enumerate_indices(space("G(2,4)")))
+
+    def test_cap_compares_the_exact_count(self):
+        # OG(7,17) has exactly 1,024 classes among 11,440 (a | b) candidates
+        assert len(list(enumerate_indices(space("OG(7,17)"), cap=1024))) == 1024
+
+    def test_label_sequences_without_permuting(self):
+        # 132 classes, 11 label sequences out of 11! permutations of the labels
+        start = time.perf_counter()
+        listed = list(enumerate_indices(space("F(10,11;12)")))
+        assert len(listed) == 132
+        assert time.perf_counter() - start < 0.5
 
     def test_all_enumerated_valid(self):
         for text in ("OG(2,8)", "OF(1,2;6)", "SG(2,6)", "SF(1,2;6)", "F(1,3;5)"):

@@ -6,7 +6,7 @@ import pathlib
 
 import pytest
 
-from schubrigid import rigidity
+from schubrigid import indices, rigidity
 from schubrigid.errors import NonEssentialSubIndexError
 from schubrigid.indices import enumerate_indices
 from schubrigid.parser import parse_index, parse_space
@@ -72,14 +72,11 @@ class TestEssentialFlag:
             sp = parse_space(text)
             for idx in enumerate_indices(sp):
                 closed = rigidity.essential_flag_positions(sp, idx)
-                refs = rigidity.make_refs(idx)
+                analysis = rigidity._ClassAnalysis(sp, idx)
                 via_proj = {
                     ref.position
-                    for ref in refs
-                    if any(
-                        rigidity._essential_in_pushforward(sp, idx, ref, t)
-                        for t in range(ref.block, sp.blocks + 1)
-                    )
+                    for ref in analysis.refs.values()
+                    if analysis.first(analysis.essential_at, 1, ref) is not None
                 }
                 assert closed == via_proj
 
@@ -338,21 +335,44 @@ class TestSymplectic:
 
 class TestOnePushForwardPerLevel:
     def test_each_level_pushed_forward_at_most_once(self, monkeypatch):
+        # counts the removal rule the analysis calls; every F/OF/SF class
+        # reads at least one level, so the test cannot pass on zero calls
         levels = []
-        for name in ("pushforward_flag", "pushforward_pair_flag"):
-            original = getattr(rigidity, name)
+        original = rigidity.remove_above
 
-            def counted(space, index, t, original=original):
-                levels.append(t)
-                return original(space, index, t)
+        def counted(index, t):
+            levels.append(t)
+            return original(index, t)
 
-            monkeypatch.setattr(rigidity, name, counted)
+        monkeypatch.setattr(rigidity, "remove_above", counted)
         for text in ("F(1,2,3,4;8)", "OF(2,4;13)", "SF(2,4;12)"):
             sp = parse_space(text)
             for idx in list(enumerate_indices(sp))[::40]:
                 levels.clear()
                 rigidity.classify(sp, idx)
-                assert len(levels) == len(set(levels)) <= sp.blocks, (text, str(idx))
+                assert 1 <= len(levels) == len(set(levels)) <= sp.blocks, (text, str(idx))
+
+
+class TestValidateOncePerClass:
+    CENSUS_SPACES = (
+        "SG(6,14)", "G(6,14)", "F(1,2,3,4;8)", "OG(7,17)", "OF(2,4;13)", "SF(2,4;12)"
+    )
+
+    def test_classify_validates_each_class_once(self, monkeypatch):
+        calls = []
+        original = indices.validate
+
+        def counted(space, index):
+            calls.append(index)
+            return original(space, index)
+
+        monkeypatch.setattr(indices, "validate", counted)
+        for text in self.CENSUS_SPACES:
+            sp = parse_space(text)
+            for idx in list(enumerate_indices(sp))[::40]:
+                calls.clear()
+                rigidity.classify(sp, idx)
+                assert len(calls) == 1, (text, str(idx))
 
 
 GOLDEN_VERDICTS = pathlib.Path(__file__).parent / "data" / "verdicts_golden.jsonl"
