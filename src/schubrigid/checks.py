@@ -18,6 +18,7 @@ from .indices import (
     dimension,
     dual,
     enumerate_indices,
+    flagged_index,
     lambda_notation,
     pair_index,
     plain_index,
@@ -214,6 +215,31 @@ def check_flag_corollary_equivalence_sweep():
                 )
                 checked += 1
     return "%d sub-indices checked (plus essentialness per entry)" % checked
+
+
+def check_grass_equals_one_step_flag_sweep():
+    """G(k,n) == F(k;n): every class of G(k,n), n <= 10, gets the verdict of
+    its all-ones flag twin under both readings, space and index aside.  G has
+    its own path in ``rigidity``, so this no longer holds by construction."""
+    checked = 0
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            grass = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+            flag = SpaceDescriptor(SpaceKind.FLAG_A, (k,), n)
+            for idx in enumerate_indices(grass):
+                twin = flagged_index((value, 1) for value in idx.a)
+                for literal in (False, True):
+                    got = rigidity.classify(grass, idx, literal).to_json()
+                    want = rigidity.classify(flag, twin, literal).to_json()
+                    for payload in (got, want):
+                        del payload["space"], payload["index"]
+                    _expect(
+                        got == want,
+                        "%s @ %s, paper_literal=%s: %s, but F(%d;%d) gives %s"
+                        % (idx, grass.render(), literal, got, k, n, want),
+                    )
+                    checked += 1
+    return "%d verdicts compared" % checked
 
 
 def check_orthogonal_examples():
@@ -468,6 +494,7 @@ FULL_CHECKS = QUICK_CHECKS + (
     ("zero product oracle sweep", check_zero_product_oracle_sweep),
     ("LR Jacobi-Trudi oracle sweep", check_lr_jacobi_trudi_sweep),
     ("flag corollary equivalence sweep", check_flag_corollary_equivalence_sweep),
+    ("G(k,n) equals F(k;n) sweep", check_grass_equals_one_step_flag_sweep),
     ("multi-rigid implies rigid sweep", check_multirigid_implies_rigid_sweep),
     ("fiber consistency sweep", check_fiber_consistency_sweep),
     ("leading term law", check_leading_term_law),
@@ -477,15 +504,23 @@ FULL_CHECKS = QUICK_CHECKS + (
 )
 
 
-def run_checks(scope="quick", emit=print):
-    checks = QUICK_CHECKS if scope == "quick" else FULL_CHECKS
-    failures = 0
-    for name, func in checks:
+def check_results(scope="quick"):
+    """(name, passed, summary or failure detail) of each check of ``scope``, in order."""
+    for name, func in QUICK_CHECKS if scope == "quick" else FULL_CHECKS:
         try:
             summary = func()
         except CheckFailure as exc:
-            failures += 1
-            emit("FAIL %s: %s" % (name, exc))
+            yield name, False, str(exc)
         else:
+            yield name, True, summary
+
+
+def run_checks(scope="quick", emit=print):
+    failures = 0
+    for name, passed, summary in check_results(scope):
+        if passed:
             emit("ok   %s (%s)" % (name, summary))
+        else:
+            failures += 1
+            emit("FAIL %s: %s" % (name, summary))
     return failures

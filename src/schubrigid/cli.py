@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from datetime import datetime, timezone
 
 from . import __version__, chow, checks, multirigid, projections, restriction, rigidity
@@ -219,8 +220,8 @@ def cmd_census(args):
     space = parse_space(args.space)
     rows = []
     counts = {"rigid": 0, "non_rigid": 0, "unknown": 0}
-    for index in enumerate_indices(space):
-        verdict = rigidity.classify(space, index, paper_literal=args.paper_literal)
+    verdicts = rigidity.classify_space(space, enumerate_indices(space), args.paper_literal)
+    for verdict in verdicts:
         if verdict.class_rigid is True:
             bucket = "rigid"
         elif verdict.class_rigid is False:
@@ -230,7 +231,7 @@ def cmd_census(args):
         counts[bucket] += 1
         rows.append(
             {
-                "index": index.render(),
+                "index": verdict.index.render(),
                 "class_rigid": verdict.class_rigid,
                 "essential": [str(r) for r in verdict.essential_refs()],
                 "rigid": [str(v.ref) for v in verdict.subs if v.rigid],
@@ -273,7 +274,21 @@ def cmd_census(args):
 
 
 def cmd_selftest(args):
-    failures = checks.run_checks(scope=args.scope)
+    if not args.json:
+        return 1 if checks.run_checks(scope=args.scope) else 0
+    start = time.perf_counter()
+    results = [
+        {"name": name, "status": "ok" if passed else "fail", "summary": summary}
+        for name, passed, summary in checks.check_results(args.scope)
+    ]
+    failures = sum(1 for result in results if result["status"] == "fail")
+    payload = {
+        "scope": args.scope,
+        "checks": results,
+        "failures": failures,
+        "elapsed_s": round(time.perf_counter() - start, 3),
+    }
+    _print(args, payload, None)
     return 1 if failures else 0
 
 

@@ -20,16 +20,24 @@ The criteria used here:
 * Symplectic spaces: sufficient conditions only; everything else reports
   "unknown" (None) rather than guessing.
 
+G(k,n) has its own short path (``_grass_class``): the essential set is the
+gap positions, each essential entry is rigid by the four-clause test with
+witness level 1, and the relation is the chain of essential entries.  Its
+refs carry block 1, the label F(k;n) would give them.
+
 Every flag verdict reads one per-class analysis (``_ClassAnalysis``).  It
-validates the index once, views G(k,n) as F(k;n), holds the sub-index refs
-by key and, for each projection level t on first use, keeps the image under
-pi_t, its target space, where each surviving ref lands and the image's
-essential set; image rigidity is memoized per (ref, t).  Every question of
-the form "levels t >= max(threshold, block) where ..." -- first essential
-level, first common essential level, rigid levels, the SF a_i = i test --
-is one walk over that table, so each push-forward is computed at most once
-per class.  The public functions are thin entry points that build an
-analysis for their one call; nothing is cached across calls.
+validates the index once, holds the sub-index refs by key and, for each
+projection level t on first use, keeps the image under pi_t and where each
+surviving ref lands.  What depends only on the image -- the target space of
+each level, the image's essential set and whether an image entry is rigid --
+lives in ``_SpaceTables``, keyed by level and image, because the classes of
+one space keep meeting the same few images.  Every question of the form
+"levels t >= max(threshold, block) where ..." -- first essential level,
+first common essential level, rigid levels, the SF a_i = i test -- is one
+walk over that table, so each push-forward is computed at most once per
+class.  The public functions are thin entry points that build their own
+tables for their one call; ``classify_space`` shares one set of tables
+across the classes of a census.  Nothing outlives the call that built it.
 
 Each public function validates its index once, where it enters; what runs
 behind it -- ``remove_above``, the essential cores ``_gap_positions`` /
@@ -271,14 +279,6 @@ def _symp_essential(index):
     return {("a", i) for i in _gap_positions(index.a)} | _b_essential(index.b)
 
 
-def _as_flagged(space, index):
-    """View G(k,n) as the single-step flag F(k;n) for the projection machinery."""
-    if space.kind is SpaceKind.GRASS_A:
-        flag_space = SpaceDescriptor(SpaceKind.FLAG_A, space.steps, space.ambient)
-        return flag_space, SchubertIndex(a=index.a, alpha=(1,) * len(index.a))
-    return space, index
-
-
 def _flag_essential(index):
     a, alpha = index.a, index.alpha
     return {
@@ -310,65 +310,98 @@ def essential_flag(space, index):
 # the per-class analysis
 
 
+class _SpaceTables:
+    """What the classes of one flag space share, each fact computed once.
+
+    The target space of each level; per image of pi_t, keyed by
+    ``(t, image)``, its essential keys; per ``(t, image, image key)``,
+    whether that entry is essential and rigid in the image (on SF: whether
+    a_i = i suffices there).  The tables hold nothing of any one class.  A
+    census builds one for its space and passes it to every ``classify`` call
+    (``classify_space``); every other call builds its own.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self._targets = {}
+        self._essential = {}
+        self._rigid = {}
+
+    def target(self, t):
+        if t not in self._targets:
+            self._targets[t] = target_space(self.space, t)
+        return self._targets[t]
+
+    def essential(self, t, image):
+        if (t, image) not in self._essential:
+            kind = self.space.kind
+            if kind is SpaceKind.FLAG_A:
+                essential = {("a", i) for i in _gap_positions(image.a)}
+            elif kind is SpaceKind.FLAG_ORTH:
+                essential = _orth_essential(self.space.ambient, image)
+            else:
+                essential = _symp_essential(image)
+            self._essential[t, image] = essential
+        return self._essential[t, image]
+
+    def rigid(self, t, image, image_key):
+        if (t, image, image_key) not in self._rigid:
+            kind = self.space.kind
+            rigid = image_key in self.essential(t, image)
+            if rigid and kind is SpaceKind.FLAG_A:
+                rigid = _grass_rigid(image.a, image_key[1])
+            elif rigid and kind is SpaceKind.FLAG_ORTH:
+                rigid = _orth_rigid(self.target(t), image, image_key)
+            elif rigid:
+                rigid = image_key[0] == "a" and _sg_sufficient(self.target(t), image, image_key[1])
+            self._rigid[t, image, image_key] = rigid
+        return self._rigid[t, image, image_key]
+
+
 class _ClassAnalysis:
     """What the verdicts on one class read, each fact computed once.
 
-    The index is validated here, once, after G(k,n) is viewed as F(k;n), and
-    the refs are held by key; everything after that runs unchecked cores.
-    For a projection level t, on first use, the image under pi_t
-    (``remove_above``, the one removal rule), its target space, the image key
-    of every surviving ref and the image's essential keys are stored; whether
-    a ref is rigid in pi_t is memoized per (ref, t).  An analysis lives for
-    one call.
+    The index is validated here, once, and the refs are held by key;
+    everything after that runs unchecked cores.  For a projection level t,
+    on first use, the image under pi_t (``remove_above``, the one removal
+    rule), the image key of every surviving ref and the image's essential
+    keys are stored.  What depends only on the image -- its essential keys,
+    the rigidity of its entries, the target space -- is read from
+    ``tables``, the space's ``_SpaceTables``: a census passes one shared by
+    every class of the space, any other call gets its own.  An analysis
+    lives for one class.
     """
 
-    def __init__(self, space, index):
-        self.space, self.index = _as_flagged(space, index)
-        check_valid(self.space, self.index)
-        self.refs = {ref.key(): ref for ref in make_refs(self.index)}
+    def __init__(self, space, index, tables=None):
+        check_valid(space, index)
+        self.space, self.index = space, index
+        self.tables = _SpaceTables(space) if tables is None else tables
+        self.refs = {ref.key(): ref for ref in make_refs(index)}
         self._levels = {}
-        self._rigid = {}
 
     @property
     def kind(self):
         return self.space.kind
 
     def level(self, t):
-        """(target space, image, {class key: image key}, image essential keys) of pi_t."""
+        """(image, {class key: image key}, image essential keys) of pi_t."""
         if t not in self._levels:
             image = remove_above(self.index, t)
-            target = target_space(self.space, t)
-            if self.kind is SpaceKind.FLAG_A:
-                essential = {("a", i) for i in _gap_positions(image.a)}
-            elif self.kind is SpaceKind.FLAG_ORTH:
-                essential = _orth_essential(target.ambient, image)
-            else:
-                essential = _symp_essential(image)
             kept = {}
             for side in "ab":
                 survivors = [r for r in self.refs.values() if r.side == side and r.block <= t]
                 kept.update((r.key(), (side, p)) for p, r in enumerate(survivors, start=1))
-            self._levels[t] = (target, image, kept, essential)
+            self._levels[t] = (image, kept, self.tables.essential(t, image))
         return self._levels[t]
 
     def essential_at(self, key, t):
-        _, _, kept, essential = self.level(t)
+        _, kept, essential = self.level(t)
         return kept.get(key) in essential
 
     def rigid_at(self, key, t):
         """Is the ref essential and rigid in pi_t?  On SF: does a_i = i suffice there?"""
-        if (key, t) not in self._rigid:
-            target, image, kept, essential = self.level(t)
-            image_key = kept[key]
-            rigid = image_key in essential
-            if rigid and self.kind is SpaceKind.FLAG_A:
-                rigid = _grass_rigid(image.a, image_key[1])
-            elif rigid and self.kind is SpaceKind.FLAG_ORTH:
-                rigid = _orth_rigid(target, image, image_key)
-            elif rigid:
-                rigid = image_key[0] == "a" and _sg_sufficient(target, image, image_key[1])
-            self._rigid[key, t] = rigid
-        return self._rigid[key, t]
+        image, kept, _ = self.level(t)
+        return self.tables.rigid(t, image, kept[key])
 
     def levels(self, test, threshold, *refs):
         """Levels t >= max(threshold, the refs' blocks) where ``test(key, t)``
@@ -556,8 +589,12 @@ def rigid_subindex_flag(space, index, i):
 
     The verdict is the closed-form clause evaluation; the levels list every
     t >= alpha_i at which the entry is rigid in the t-th push-forward.  The
-    two computations agree (exhaustively tested).
+    two computations agree (exhaustively tested).  On G(k,n) the verdict is
+    the four-clause test and the level is 1 when it holds.
     """
+    if space.kind is SpaceKind.GRASS_A:
+        rigid = rigid_subindex_grass(space, index, i)
+        return rigid, (1,) if rigid else ()
     return _ClassAnalysis(space, index).flag_sub(i)
 
 
@@ -565,22 +602,68 @@ def relation_flag(space, index, paper_literal=False):
     """Compatibility relation on the essential sub-indices of a type-A flag class.
 
     Edge a_i -> a_j (i < j) when a_j is essential in some push-forward at a
-    level >= max(alpha_i, alpha_j); ``paper_literal`` restores min.
+    level >= max(alpha_i, alpha_j); ``paper_literal`` restores min.  On
+    G(k,n) both readings give the chain of essential entries.
     """
+    if space.kind is SpaceKind.GRASS_A:
+        return _grass_chain(_grass_subs(space, index))
     return _ClassAnalysis(space, index).flag_relation(paper_literal)
 
 
 def rigid_class_flag(space, index, paper_literal=False):
     """Class verdict for G(k,n) and F(d;n): all essential rigid + total order."""
-    analysis = _ClassAnalysis(space, index)
+    if space.kind is SpaceKind.GRASS_A:
+        return _grass_class(space, index)
+    return _flag_class(_ClassAnalysis(space, index), paper_literal)
 
+
+def _flag_class(analysis, paper_literal):
     def verdict_of(ref):
         verdict, levels = analysis.flag_sub(ref.position)
         return verdict, ("levels", levels) if levels else ()
 
     return _ordered_verdict(
-        space, index, analysis.subs(verdict_of), analysis.flag_relation(paper_literal)
+        analysis.space,
+        analysis.index,
+        analysis.subs(verdict_of),
+        analysis.flag_relation(paper_literal),
     )
+
+
+def _grass_subs(space, index):
+    """Sub-index verdicts of a G(k,n) class, validated once: the gap positions
+    are essential, the four-clause test decides rigidity, witnessed at level 1.
+    Refs carry block 1, as F(k;n) labels them."""
+    check_valid(space, index)
+    essential = _gap_positions(index.a)
+    subs = []
+    for i, value in enumerate(index.a, start=1):
+        ref = SubIndexRef("a", i, value, 1)
+        if i in essential:
+            rigid = _grass_rigid(index.a, i)
+            subs.append(SubIndexVerdict(ref, True, rigid, ("levels", (1,)) if rigid else ()))
+        else:
+            subs.append(SubIndexVerdict(ref, False, None))
+    return tuple(subs)
+
+
+def _grass_chain(subs):
+    """The G(k,n) relation: each essential entry before every later one, at
+    level 1.  Closed, total and strict as built."""
+    refs = tuple(v.ref for v in subs if v.essential)
+    edges = tuple(RelationEdge(src, dst, 1) for p, src in enumerate(refs) for dst in refs[p + 1 :])
+    return RelationReport(
+        elements=refs,
+        edges=edges,
+        closure=frozenset((e.source.key(), e.target.key()) for e in edges),
+        totally_ordered=True,
+        strict=True,
+    )
+
+
+def _grass_class(space, index):
+    subs = _grass_subs(space, index)
+    return _ordered_verdict(space, index, subs, _grass_chain(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +807,14 @@ def compat_relation_orthflag(space, index, paper_literal=False):
 
 
 def rigid_class_orthflag(space, index, paper_literal=False):
-    analysis = _ClassAnalysis(space, index)
+    return _orthflag_class(_ClassAnalysis(space, index), paper_literal)
+
+
+def _orthflag_class(analysis, paper_literal):
     implies = analysis.implies_relation()
     subs = analysis.subs(lambda ref: analysis.orth_sub(implies, ref))
-    return _ordered_verdict(space, index, subs, analysis.compat_relation(paper_literal))
+    relation = analysis.compat_relation(paper_literal)
+    return _ordered_verdict(analysis.space, analysis.index, subs, relation)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +850,11 @@ def rigid_symp(space, index):
     """Partial verdict for SG/SF classes: True where a sufficient condition
     applies, None (unknown) otherwise — the criteria are one-sided for type C.
     """
-    analysis = _ClassAnalysis(space, index)
+    return _symp_class(_ClassAnalysis(space, index))
+
+
+def _symp_class(analysis):
+    space, index = analysis.space, analysis.index
     if space.kind is SpaceKind.GRASS_SYMP:
         keys = _symp_essential(index)
         family = _is_rigid_family(space, index)
@@ -808,12 +899,31 @@ def rigid_symp(space, index):
 # dispatch
 
 
-def classify(space, index, paper_literal=False):
-    """Whole-class verdict for any supported kind (used by the census)."""
-    if space.kind in (SpaceKind.GRASS_A, SpaceKind.FLAG_A):
-        return rigid_class_flag(space, index, paper_literal)
+def classify(space, index, paper_literal=False, *, tables=None):
+    """Whole-class verdict for any supported kind.
+
+    ``tables``, when given, is the ``_SpaceTables`` of ``space`` that the
+    other classes of a census share (see ``classify_space``).
+    """
+    if space.kind is SpaceKind.GRASS_A:
+        return _grass_class(space, index)
     if space.kind is SpaceKind.GRASS_ORTH:
         return rigid_class_orthgrass(space, index)
+    analysis = _ClassAnalysis(space, index, tables)
+    if space.kind is SpaceKind.FLAG_A:
+        return _flag_class(analysis, paper_literal)
     if space.kind is SpaceKind.FLAG_ORTH:
-        return rigid_class_orthflag(space, index, paper_literal)
-    return rigid_symp(space, index)
+        return _orthflag_class(analysis, paper_literal)
+    return _symp_class(analysis)
+
+
+def classify_space(space, indices, paper_literal=False):
+    """``classify`` each index of ``space`` in turn, yielding the verdicts.
+
+    Every call reads one ``_SpaceTables``, so an image met by many classes
+    has its essential set and rigidity computed once per census; the tables
+    go when the generator does.
+    """
+    tables = _SpaceTables(space)
+    for index in indices:
+        yield classify(space, index, paper_literal, tables=tables)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+from schubrigid import checks
 from schubrigid.cli import main
 
 
@@ -249,6 +250,15 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "quick")
         assert code == 0
         assert out.count("ok") >= 7 and "FAIL" not in out
+
+    def test_quick_json(self, capsys):
+        code, out, _ = run(capsys, "selftest", "quick", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["scope"] == "quick" and payload["failures"] == 0
+        assert [c["name"] for c in payload["checks"]] == [n for n, _ in checks.QUICK_CHECKS]
+        assert all(c["status"] == "ok" and c["summary"] for c in payload["checks"])
+        assert payload["elapsed_s"] >= 0
 
     def test_json_report_round_trip(self, capsys):
         code, out, _ = run(capsys, "rigid", "(1^1|1^2) @ OF(1,2;5)", "--json")

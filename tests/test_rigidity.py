@@ -353,6 +353,33 @@ class TestOnePushForwardPerLevel:
                 assert 1 <= len(levels) == len(set(levels)) <= sp.blocks, (text, str(idx))
 
 
+class TestSharedSpaceTables:
+    def test_one_target_space_per_level_per_census(self, monkeypatch):
+        # a census builds each level's target space once, not once per class
+        calls = []
+        original = rigidity.target_space
+
+        def counted(space, t):
+            calls.append(t)
+            return original(space, t)
+
+        monkeypatch.setattr(rigidity, "target_space", counted)
+        for text in ("F(1,2,3,4;8)", "OF(2,4;13)", "SF(2,4;12)"):
+            sp = parse_space(text)
+            calls.clear()
+            total = sum(1 for _ in rigidity.classify_space(sp, enumerate_indices(sp)))
+            assert total == indices.class_count(sp)
+            assert len(calls) <= sp.blocks, (text, len(calls))
+
+    def test_grass_census_removes_nothing(self, monkeypatch):
+        # G(k,n) has its own path: no flag view, no push-forward
+        calls = []
+        monkeypatch.setattr(rigidity, "remove_above", lambda *args: calls.append(args))
+        sp = parse_space("G(6,14)")
+        verdicts = list(rigidity.classify_space(sp, enumerate_indices(sp)))
+        assert len(verdicts) == 3003 and calls == []
+
+
 class TestValidateOncePerClass:
     CENSUS_SPACES = (
         "SG(6,14)", "G(6,14)", "F(1,2,3,4;8)", "OG(7,17)", "OF(2,4;13)", "SF(2,4;12)"
@@ -400,12 +427,34 @@ def golden_verdict_lines():
                 yield json.dumps(verdict.to_json()) + "\n"
 
 
+def shared_verdict_lines():
+    """The lines of ``golden_verdict_lines``, from one ``classify_space`` pass
+    per space and reading, interleaved in the same order."""
+    for text in GOLDEN_SPACES:
+        sp = parse_space(text)
+        passes = [
+            rigidity.classify_space(sp, enumerate_indices(sp), literal)
+            for literal in (False, True)
+        ]
+        for pair in zip(*passes):
+            for verdict in pair:
+                yield json.dumps(verdict.to_json()) + "\n"
+
+
 class TestGoldenVerdicts:
     def test_verdicts_byte_identical(self):
         # recorded before the per-class analysis replaced the per-question
         # push-forwards; witnesses and relation edges are in every line
         golden = GOLDEN_VERDICTS.read_text().splitlines(keepends=True)
         got = list(golden_verdict_lines())
+        assert len(got) == len(golden) == 2 * 514
+        for line, want in zip(got, golden):
+            assert line == want
+
+    def test_shared_tables_byte_identical(self):
+        # the census path: every class of a space reads one set of tables
+        golden = GOLDEN_VERDICTS.read_text().splitlines(keepends=True)
+        got = list(shared_verdict_lines())
         assert len(got) == len(golden) == 2 * 514
         for line, want in zip(got, golden):
             assert line == want
