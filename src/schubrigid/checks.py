@@ -6,6 +6,7 @@ the failing detail.  ``quick`` covers the worked-example regressions;
 """
 from __future__ import annotations
 
+import time
 from collections import Counter
 from itertools import combinations, permutations
 
@@ -42,10 +43,10 @@ def _expect(condition, detail):
 def check_flag_rigidity_examples():
     """rigid(2^1,4^2 @ F(1,2;4)) and not rigid(2^2,4^1 @ F(1,2;4))."""
     space, idx = parse_index("2^1,4^2 @ F(1,2;4)")
-    verdict = rigidity.rigid_class_flag(space, idx)
+    verdict = rigidity.classify(space, idx)
     _expect(verdict.class_rigid is True, "2^1,4^2 should be rigid")
     space, idx = parse_index("2^2,4^1 @ F(1,2;4)")
-    verdict = rigidity.rigid_class_flag(space, idx)
+    verdict = rigidity.classify(space, idx)
     _expect(verdict.class_rigid is False, "2^2,4^1 should not be rigid")
     return "both F(1,2;4) verdicts match"
 
@@ -92,6 +93,7 @@ def check_removal_rule_pairing_sweep():
                     % (t, idx, candidate, value, want),
                 )
                 checked += 1
+    _expect(checked > 0, "no complementary pairing was checked")
     return "%d pairings checked" % checked
 
 
@@ -245,15 +247,14 @@ def check_grass_equals_one_step_flag_sweep():
 def check_orthogonal_examples():
     space, idx = parse_index("(3|3,1,0) @ OG(4,11)")
     _expect(
-        rigidity.rigid_class_orthgrass(space, idx).class_rigid is True,
+        rigidity.classify(space, idx).class_rigid is True,
         "sigma_{3;3,1,0} should be rigid in OG(4,11)",
     )
     space, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-    ref = rigidity.find_ref(idx, "b", 2)
-    _expect(ref.value == 1, "b_2 of the OF example should have value 1")
-    verdict, witness = rigidity.rigid_subindex_orthflag(space, idx, ref)
-    _expect(verdict is True, "b-value 1 should be rigid for the OF(2,4;11) example")
-    kind, (chain, _level) = witness
+    sub = rigidity.classify(space, idx).sub("b", 2)
+    _expect(sub.ref.value == 1, "b_2 of the OF example should have value 1")
+    _expect(sub.rigid is True, "b-value 1 should be rigid for the OF(2,4;11) example")
+    kind, (chain, _level) = sub.witness
     _expect(kind == "chain", "expected a chain witness")
     values = tuple((r.side, r.value) for r in chain)
     _expect(
@@ -262,12 +263,12 @@ def check_orthogonal_examples():
     )
     space, idx = parse_index("(1^1|1^2) @ OF(1,2;5)")
     _expect(
-        rigidity.rigid_class_orthflag(space, idx).class_rigid is True,
+        rigidity.classify(space, idx).class_rigid is True,
         "sigma_{1^1;1^2} should be rigid in OF(1,2;5)",
     )
     space, idx = parse_index("(1|1) @ OG(2,5)")
     _expect(
-        rigidity.rigid_class_orthgrass(space, idx).class_rigid is False,
+        rigidity.classify(space, idx).class_rigid is False,
         "sigma_{1;1} should not be rigid in OG(2,5)",
     )
     return "all four orthogonal example verdicts match"
@@ -309,10 +310,11 @@ def check_multirigid_implies_rigid_sweep():
         for k in range(1, min(4, n - 1) + 1):
             space = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
             for idx in enumerate_indices(space):
-                for i in sorted(rigidity.essential_grass(space, idx)):
-                    if multirigid.multirigid_subindex_grass(space, idx, i):
+                verdict = rigidity.classify(space, idx)
+                for i, multi_rigid in multirigid.multirigid_grass(space, idx):
+                    if multi_rigid:
                         _expect(
-                            rigidity.rigid_subindex_grass(space, idx, i),
+                            verdict.sub("a", i).rigid,
                             "multi-rigid but not rigid: a_%d of %s @ %s" % (i, idx, space),
                         )
                     checked += 1
@@ -357,7 +359,7 @@ def check_symplectic_family():
         space = SpaceDescriptor(SpaceKind.GRASS_SYMP, (k,), n)
         for i in range(1, k + 1):
             idx = pair_index(tuple(range(1, i + 1)), tuple(range(i, k)))
-            verdict = rigidity.rigid_symp(space, idx)
+            verdict = rigidity.classify(space, idx)
             _expect(
                 verdict.class_rigid is True,
                 "family class (1..%d; %d..%d) should be rigid in SG(%d,%d)"
@@ -370,14 +372,14 @@ def check_symplectic_family():
 def check_remark_counterexample_gate():
     """The F(1,3;4) Remark index: not totally ordered under max, ordered under min."""
     space, idx = parse_index("1^2,3^1,4^2 @ F(1,3;4)")
-    strict = rigidity.relation_flag(space, idx, paper_literal=False)
-    literal = rigidity.relation_flag(space, idx, paper_literal=True)
+    verdict = rigidity.classify(space, idx, paper_literal=False)
+    literal = rigidity.classify(space, idx, paper_literal=True).relation
     _expect(
-        strict.totally_ordered is False,
+        verdict.relation.totally_ordered is False,
         "max-threshold relation should leave the Remark index unordered",
     )
     _expect(
-        rigidity.rigid_class_flag(space, idx).class_rigid is False,
+        verdict.class_rigid is False,
         "the Remark index should not be class-rigid",
     )
     _expect(
@@ -400,8 +402,8 @@ def check_leading_term_law():
         for idx in enumerate_indices(space):
             if not idx.a:
                 continue
-            a_keys = [p for (side, p) in rigidity.essential_orthgrass(space, idx) if side == "a"]
-            if not a_keys:
+            essential = rigidity.classify(space, idx).essential_refs()
+            if not any(ref.side == "a" for ref in essential):
                 continue
             report = multirigid.og_pushforward_leading(space, idx)
             if not report.admissible:
@@ -451,7 +453,7 @@ def check_class_rigid_implies_subs_og():
         for k in range(1, min(3, n // 2) + 1):
             space = SpaceDescriptor(SpaceKind.GRASS_ORTH, (k,), n)
             for idx in enumerate_indices(space):
-                verdict = rigidity.rigid_class_orthgrass(space, idx)
+                verdict = rigidity.classify(space, idx)
                 if verdict.class_rigid:
                     _expect(
                         all(v.rigid for v in verdict.subs if v.essential),
@@ -505,19 +507,20 @@ FULL_CHECKS = QUICK_CHECKS + (
 
 
 def check_results(scope="quick"):
-    """(name, passed, summary or failure detail) of each check of ``scope``, in order."""
+    """(name, passed, summary or failure detail, seconds taken) of each check of
+    ``scope``, in order."""
     for name, func in QUICK_CHECKS if scope == "quick" else FULL_CHECKS:
+        start = time.perf_counter()
         try:
-            summary = func()
+            passed, summary = True, func()
         except CheckFailure as exc:
-            yield name, False, str(exc)
-        else:
-            yield name, True, summary
+            passed, summary = False, str(exc)
+        yield name, passed, summary, time.perf_counter() - start
 
 
 def run_checks(scope="quick", emit=print):
     failures = 0
-    for name, passed, summary in check_results(scope):
+    for name, passed, summary, _elapsed in check_results(scope):
         if passed:
             emit("ok   %s (%s)" % (name, summary))
         else:

@@ -155,9 +155,7 @@ def cmd_multirigid(args):
         )
         return 0
     if space.kind is SpaceKind.GRASS_A:
-        rows = []
-        for i in sorted(rigidity.essential_grass(space, index)):
-            rows.append((i, multirigid.multirigid_subindex_grass(space, index, i)))
+        rows = multirigid.multirigid_grass(space, index)
         payload = {"sub_indices": [{"position": i, "multi_rigid": v} for i, v in rows]}
         _print(args, payload, " ".join("a%d=%s" % (i, v) for i, v in rows) or "(none)")
         return 0
@@ -278,8 +276,13 @@ def cmd_selftest(args):
         return 1 if checks.run_checks(scope=args.scope) else 0
     start = time.perf_counter()
     results = [
-        {"name": name, "status": "ok" if passed else "fail", "summary": summary}
-        for name, passed, summary in checks.check_results(args.scope)
+        {
+            "name": name,
+            "status": "ok" if passed else "fail",
+            "summary": summary,
+            "elapsed_s": round(elapsed, 3),
+        }
+        for name, passed, summary, elapsed in checks.check_results(args.scope)
     ]
     failures = sum(1 for result in results if result["status"] == "fail")
     payload = {

@@ -52,18 +52,26 @@ class IndexFamily:
         dims = {dimension(self.space, index) for index, _ in self.members}
         return len(dims) == 1
 
-    @staticmethod
-    def from_class(cls):
-        return IndexFamily(space=cls.space, members=tuple(cls.terms))
-
     def supports(self):
         return tuple(index for index, _ in self.members)
+
+
+def multirigid_grass(space, index):
+    """(i, multi-rigid?) for each essential position i of a G(k,n) index,
+    ascending; the index is validated once."""
+    essential = sorted(essential_grass(space, index))
+    return tuple((i, _multirigid_grass(space, index, i)) for i in essential)
 
 
 def multirigid_subindex_grass(space, index, i):
     """a_{i-1}+1 = a_i <= a_{i+1}-3, or a_i = n; ``i`` must be essential."""
     if i not in essential_grass(space, index):
         raise NonEssentialSubIndexError("a%d" % i)
+    return _multirigid_grass(space, index, i)
+
+
+def _multirigid_grass(space, index, i):
+    """Unchecked core of ``multirigid_subindex_grass`` for an essential position."""
     a = index.a
     k = len(a)
     n = space.ambient

@@ -35,13 +35,15 @@ one space keep meeting the same few images.  Every question of the form
 "levels t >= max(threshold, block) where ..." -- first essential level,
 first common essential level, rigid levels, the SF a_i = i test -- is one
 walk over that table, so each push-forward is computed at most once per
-class.  The public functions are thin entry points that build their own
-tables for their one call; ``classify_space`` shares one set of tables
-across the classes of a census.  Nothing outlives the call that built it.
+class.  ``classify`` is the one verdict path: a single call builds its own
+tables, and ``classify_space`` shares one set across the classes of a
+census.  Nothing outlives the call that built it.  Read a sub-index verdict
+with ``RigidityVerdict.sub`` and the relation with ``.relation``.
 
-Each public function validates its index once, where it enters; what runs
-behind it -- ``remove_above``, the essential cores ``_gap_positions`` /
-``_orth_essential`` / ``_symp_essential`` and the clause tests -- trusts it.
+``classify`` and ``essential_grass`` validate their index once, where it
+enters; what runs behind them -- ``remove_above``, the essential cores
+``_gap_positions`` / ``_orth_essential`` / ``_symp_essential`` and the
+clause tests -- trusts it.
 """
 from __future__ import annotations
 
@@ -50,11 +52,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import inf
 
-from .errors import (
-    NonEssentialSubIndexError,
-    UnsupportedKindError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .indices import SchubertIndex, SpaceDescriptor, SpaceKind, check_valid
 from .projections import remove_above, target_space
 
@@ -93,13 +91,6 @@ def make_refs(index):
     for j, (value, block) in enumerate(index.b_entries(), start=1):
         refs.append(SubIndexRef("b", j, value, block))
     return tuple(refs)
-
-
-def find_ref(index, side, position):
-    for ref in make_refs(index):
-        if ref.side == side and ref.position == position:
-            return ref
-    raise ValidationError(["no sub-index %s%d in %s" % (side, position, index)])
 
 
 @dataclass(frozen=True)
@@ -238,22 +229,6 @@ def essential_grass(space, index):
     return _gap_positions(index.a)
 
 
-def essential_orthgrass(space, index):
-    """Essential keys for an OG(k,n) pair, per the three a-side clauses."""
-    check_valid(space, index)
-    return _orth_essential(space.ambient, index)
-
-
-def essential_symp_pair(space, index):
-    """Reporting convention for SG pairs: rank condition not implied by neighbors.
-
-    The rigidity results for type C are sufficient conditions only; this set
-    never feeds a rigidity conclusion by itself.
-    """
-    check_valid(space, index)
-    return _symp_essential(index)
-
-
 def _gap_positions(a):
     """Positions i with i = len(a) or a_i < a_{i+1} - 1: the G(k,n) essential set."""
     return {i for i in range(1, len(a) + 1) if i == len(a) or a[i - 1] < a[i] - 1}
@@ -265,8 +240,8 @@ def _b_essential(b):
 
 
 def _orth_essential(n, index):
-    """Unchecked core of ``essential_orthgrass``: a_s is essential unless n is even,
-    b is present and a_s + b_last = n - 2."""
+    """Essential keys of a valid OG(k,n) pair, per the three a-side clauses:
+    a_s is essential unless n is even, b is present and a_s + b_last = n - 2."""
     s = index.s
     keys = {("a", i) for i in _gap_positions(index.a) if i < s}
     if s and (n % 2 == 1 or not index.b or index.a[-1] + index.b[-1] != n - 2):
@@ -275,7 +250,9 @@ def _orth_essential(n, index):
 
 
 def _symp_essential(index):
-    """Unchecked core of ``essential_symp_pair``."""
+    """Essential keys of a valid SG pair: the rank conditions not implied by
+    their neighbours.  A reporting convention only; the type-C criteria are
+    sufficient conditions and never read this set alone."""
     return {("a", i) for i in _gap_positions(index.a)} | _b_essential(index.b)
 
 
@@ -286,24 +263,6 @@ def _flag_essential(index):
         for i in range(1, len(a) + 1)
         if i == len(a) or a[i - 1] < a[i] - 1 or alpha[i - 1] < alpha[i]
     }
-
-
-def essential_flag_positions(space, index):
-    """FlaggedA essential positions via the three-clause characterization."""
-    check_valid(space, index)
-    return _flag_essential(index)
-
-
-def essential_flag(space, index):
-    """Essential keys for any flagged kind.
-
-    FlaggedA uses the closed form; flagged pairs test essentialness of the
-    image entry across all levels at which the entry survives.
-    """
-    analysis = _ClassAnalysis(space, index)
-    if not space.kind.is_flag:
-        raise UnsupportedKindError("essential_flag needs a flagged index")
-    return set(analysis.essential)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +395,6 @@ class _ClassAnalysis:
         )
 
     def flag_sub(self, i):
-        if ("a", i) not in self.essential:
-            raise NonEssentialSubIndexError("a%d" % i)
         levels = tuple(self.levels(self.rigid_at, 1, self.refs["a", i]))
         return _flag_clause_rigid(self.index, i), levels
 
@@ -454,8 +411,10 @@ class _ClassAnalysis:
         return _close_and_grade(refs, edges)
 
     def implies_relation(self):
-        if self.kind is not SpaceKind.FLAG_ORTH:
-            raise UnsupportedKindError("the => relation is defined on OF indices")
+        """The ``=>`` relation on the essential OF refs, closed reflexively and
+        transitively: b_{j1} => b_{j2} (j2 < j1) unless the larger value is
+        n/2 - 1, when the smaller entry is essential in some admissible
+        push-forward; a_i <=> b_j when the values agree and are not n/2 - 1."""
         n = self.space.ambient
         refs = list(self.essential.values())
         edges = []
@@ -476,9 +435,8 @@ class _ClassAnalysis:
         return _close_and_grade(refs, edges)
 
     def orth_sub(self, implies, ref):
-        """(verdict, witness chain) of an essential OF sub-index under ``=>``."""
-        if all(e.key() != ref.key() for e in implies.elements):
-            raise NonEssentialSubIndexError(ref)
+        """(verdict, witness chain) of an essential OF sub-index: rigid exactly
+        when some entry related to it under ``=>`` is rigid in a push-forward."""
         for source in implies.elements:
             if not implies.related(source, ref):
                 continue
@@ -488,8 +446,7 @@ class _ClassAnalysis:
         return False, ()
 
     def compat_relation(self, paper_literal):
-        if self.kind is not SpaceKind.FLAG_ORTH:
-            raise UnsupportedKindError("the OF compatibility relation needs an OF index")
+        """The four-clause compatibility relation on the essential OF refs."""
         n = self.space.ambient
         refs = list(self.essential.values())
         pick = min if paper_literal else max
@@ -538,13 +495,6 @@ def _ordered_verdict(space, index, subs, relation):
 # rigid sub-indices, type A
 
 
-def rigid_subindex_grass(space, index, i):
-    """Four-clause Grassmannian test; ``i`` must be essential."""
-    if i not in essential_grass(space, index):
-        raise NonEssentialSubIndexError("a%d" % i)
-    return _grass_rigid(index.a, i)
-
-
 def _grass_rigid(a, i):
     a_prev = a[i - 2] if i >= 2 else 0
     a_next = a[i] if i < len(a) else inf
@@ -582,39 +532,6 @@ def _flag_clause_rigid(index, i):
     if block(i + 2) > block(i):
         return True
     return value(i - 1) == value(i) - 1 and block(i - 1) < block(i + 1)
-
-
-def rigid_subindex_flag(space, index, i):
-    """(verdict, witness levels) for an essential flag sub-index.
-
-    The verdict is the closed-form clause evaluation; the levels list every
-    t >= alpha_i at which the entry is rigid in the t-th push-forward.  The
-    two computations agree (exhaustively tested).  On G(k,n) the verdict is
-    the four-clause test and the level is 1 when it holds.
-    """
-    if space.kind is SpaceKind.GRASS_A:
-        rigid = rigid_subindex_grass(space, index, i)
-        return rigid, (1,) if rigid else ()
-    return _ClassAnalysis(space, index).flag_sub(i)
-
-
-def relation_flag(space, index, paper_literal=False):
-    """Compatibility relation on the essential sub-indices of a type-A flag class.
-
-    Edge a_i -> a_j (i < j) when a_j is essential in some push-forward at a
-    level >= max(alpha_i, alpha_j); ``paper_literal`` restores min.  On
-    G(k,n) both readings give the chain of essential entries.
-    """
-    if space.kind is SpaceKind.GRASS_A:
-        return _grass_chain(_grass_subs(space, index))
-    return _ClassAnalysis(space, index).flag_relation(paper_literal)
-
-
-def rigid_class_flag(space, index, paper_literal=False):
-    """Class verdict for G(k,n) and F(d;n): all essential rigid + total order."""
-    if space.kind is SpaceKind.GRASS_A:
-        return _grass_class(space, index)
-    return _flag_class(_ClassAnalysis(space, index), paper_literal)
 
 
 def _flag_class(analysis, paper_literal):
@@ -717,18 +634,9 @@ def _orth_rigid(space, index, key):
     )
 
 
-def rigid_subindex_orthgrass(space, index, ref):
-    """Exact clause evaluation for an essential OG sub-index."""
-    if ref.key() not in essential_orthgrass(space, index):
-        raise NonEssentialSubIndexError(ref)
-    return _orth_rigid(space, index, ref.key())
-
-
-def rigid_class_orthgrass(space, index):
+def _orthgrass_class(space, index):
     """Largest-essential-b criterion plus the no-bad-gap condition."""
     check_valid(space, index)
-    if space.kind is not SpaceKind.GRASS_ORTH:
-        raise UnsupportedKindError("rigid_class_orthgrass needs an OG(k,n) pair")
     keys = _orth_essential(space.ambient, index)
     subs = tuple(
         SubIndexVerdict(ref, True, _orth_rigid(space, index, ref.key()))
@@ -759,27 +667,6 @@ def rigid_class_orthgrass(space, index):
 # orthogonal flags
 
 
-def implies_relation_orthflag(space, index):
-    """The rigidity-propagation relation on essential OF sub-indices.
-
-    b_{j1} => b_{j2} for j2 < j1 when the larger value is not n/2 - 1 and the
-    smaller entry is essential in some admissible push-forward; a_i <=> b_j
-    when the values agree (and differ from n/2 - 1).  Closed reflexively and
-    transitively.
-    """
-    return _ClassAnalysis(space, index).implies_relation()
-
-
-def rigid_subindex_orthflag(space, index, ref):
-    """(verdict, witness chain) for an essential OF sub-index.
-
-    Rigid exactly when some essential entry related to it under ``=>`` is
-    rigid in a push-forward; the witness records the chain and the level.
-    """
-    analysis = _ClassAnalysis(space, index)
-    return analysis.orth_sub(analysis.implies_relation(), ref)
-
-
 def _chain_between(relation, source, target):
     """Shortest direct-edge path source => ... => target (BFS)."""
     if source.key() == target.key():
@@ -799,15 +686,6 @@ def _chain_between(relation, source, target):
             seen.add(nxt.key())
             frontier.append((nxt, path + (nxt,)))
     return (source, target)
-
-
-def compat_relation_orthflag(space, index, paper_literal=False):
-    """The four-clause compatibility relation on essential OF sub-indices."""
-    return _ClassAnalysis(space, index).compat_relation(paper_literal)
-
-
-def rigid_class_orthflag(space, index, paper_literal=False):
-    return _orthflag_class(_ClassAnalysis(space, index), paper_literal)
 
 
 def _orthflag_class(analysis, paper_literal):
@@ -846,13 +724,6 @@ def _is_rigid_family(space, index):
     return index.a == tuple(range(1, i + 1)) and index.b == tuple(range(i, k))
 
 
-def rigid_symp(space, index):
-    """Partial verdict for SG/SF classes: True where a sufficient condition
-    applies, None (unknown) otherwise — the criteria are one-sided for type C.
-    """
-    return _symp_class(_ClassAnalysis(space, index))
-
-
 def _symp_class(analysis):
     space, index = analysis.space, analysis.index
     if space.kind is SpaceKind.GRASS_SYMP:
@@ -878,8 +749,6 @@ def _symp_class(analysis):
             class_rigid=True if family else None,
             notes=() if family else ("no sufficient type-C criterion applies",),
         )
-    if space.kind is not SpaceKind.FLAG_SYMP:
-        raise UnsupportedKindError("rigid_symp needs an SG or SF index")
 
     def verdict_of(ref):
         # rigid_at is False on the b side: type C has no b-side condition
@@ -908,7 +777,7 @@ def classify(space, index, paper_literal=False, *, tables=None):
     if space.kind is SpaceKind.GRASS_A:
         return _grass_class(space, index)
     if space.kind is SpaceKind.GRASS_ORTH:
-        return rigid_class_orthgrass(space, index)
+        return _orthgrass_class(space, index)
     analysis = _ClassAnalysis(space, index, tables)
     if space.kind is SpaceKind.FLAG_A:
         return _flag_class(analysis, paper_literal)

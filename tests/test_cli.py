@@ -258,6 +258,7 @@ class TestSelftest:
         assert payload["scope"] == "quick" and payload["failures"] == 0
         assert [c["name"] for c in payload["checks"]] == [n for n, _ in checks.QUICK_CHECKS]
         assert all(c["status"] == "ok" and c["summary"] for c in payload["checks"])
+        assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in payload["checks"])
         assert payload["elapsed_s"] >= 0
 
     def test_json_report_round_trip(self, capsys):

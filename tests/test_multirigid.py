@@ -34,16 +34,13 @@ class TestMultirigidGrass:
         with pytest.raises(NonEssentialSubIndexError):
             multirigid.multirigid_subindex_grass(sp, idx, 1)
 
-    def test_implies_rigid_sweep(self):
-        from schubrigid.indices import SpaceDescriptor, SpaceKind
-
-        for n in range(2, 11):
-            for k in range(1, min(4, n - 1) + 1):
-                sp = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
-                for idx in enumerate_indices(sp):
-                    for i in rigidity.essential_grass(sp, idx):
-                        if multirigid.multirigid_subindex_grass(sp, idx, i):
-                            assert rigidity.rigid_subindex_grass(sp, idx, i)
+    def test_rows_read_each_essential_position(self):
+        for text in ("1,5 @ G(2,7)", "1,3,5 @ G(3,7)", "1,2,5 @ G(3,7)", "2,7 @ G(2,7)"):
+            sp, idx = parse_index(text)
+            assert multirigid.multirigid_grass(sp, idx) == tuple(
+                (i, multirigid.multirigid_subindex_grass(sp, idx, i))
+                for i in sorted(rigidity.essential_grass(sp, idx))
+            )
 
 
 class TestGamma:
@@ -96,7 +93,7 @@ class TestLeadingTerm:
         sp, idx = parse_index("(4|1,2) @ OG(3,9)")
         report = multirigid.og_pushforward_leading(sp, idx)
         assert not report.admissible and report.violations == (1,)
-        ref = rigidity.find_ref(idx, "a", 1)
+        ref = rigidity.classify(sp, idx).sub("a", 1).ref
         assert multirigid.multirigid_subindex_og(sp, idx, ref) is False
 
     def test_no_b_part(self):
@@ -114,9 +111,7 @@ class TestLeadingTerm:
             for idx in enumerate_indices(sp):
                 if not idx.a:
                     continue
-                if not any(
-                    side == "a" for side, _ in rigidity.essential_orthgrass(sp, idx)
-                ):
+                if not any(ref.side == "a" for ref in rigidity.classify(sp, idx).essential_refs()):
                     continue
                 report = multirigid.og_pushforward_leading(sp, idx)
                 if not report.admissible:
@@ -135,15 +130,15 @@ class TestLeadingTerm:
 class TestMultirigidOG:
     def test_og27_class(self):
         sp, idx = parse_index("(1|1) @ OG(2,7)")
-        a_ref = rigidity.find_ref(idx, "a", 1)
-        b_ref = rigidity.find_ref(idx, "b", 1)
+        verdict = rigidity.classify(sp, idx)
+        a_ref, b_ref = verdict.sub("a", 1).ref, verdict.sub("b", 1).ref
         assert multirigid.multirigid_subindex_og(sp, idx, a_ref) is True
         assert multirigid.multirigid_subindex_og(sp, idx, b_ref) is True
         assert multirigid.multirigid_class_og(sp, idx).class_rigid is True
 
     def test_gap_violation(self):
         sp, idx = parse_index("(2|2) @ OG(2,7)")
-        a_ref = rigidity.find_ref(idx, "a", 1)
+        a_ref = rigidity.classify(sp, idx).sub("a", 1).ref
         assert multirigid.multirigid_subindex_og(sp, idx, a_ref) is False
 
     def test_essential_b_without_a_blocks_class(self):
@@ -157,4 +152,4 @@ class TestMultirigidOG:
             for idx in enumerate_indices(sp):
                 verdict = multirigid.multirigid_class_og(sp, idx)
                 if verdict.class_rigid:
-                    assert rigidity.rigid_class_orthgrass(sp, idx).class_rigid
+                    assert rigidity.classify(sp, idx).class_rigid

@@ -6,14 +6,21 @@ import pathlib
 
 import pytest
 
-from schubrigid import indices, rigidity
-from schubrigid.errors import NonEssentialSubIndexError
+from schubrigid import cli, indices, rigidity
 from schubrigid.indices import enumerate_indices
 from schubrigid.parser import parse_index, parse_space
 
 
-def keys(refset):
-    return {(r.side, r.position) for r in refset}
+def verdict_of(text, paper_literal=False):
+    return rigidity.classify(*parse_index(text), paper_literal)
+
+
+def essential_keys(text):
+    return {ref.key() for ref in verdict_of(text).essential_refs()}
+
+
+def essential_positions(text):
+    return {ref.position for ref in verdict_of(text).essential_refs()}
 
 
 class TestEssentialGrass:
@@ -32,121 +39,81 @@ class TestEssentialGrass:
 
 class TestEssentialOrthGrass:
     def test_og411_example(self):
-        sp, idx = parse_index("(3|0,1,3) @ OG(4,11)")
-        got = rigidity.essential_orthgrass(sp, idx)
-        assert got == {("a", 1), ("b", 1), ("b", 3)}
+        assert essential_keys("(3|0,1,3) @ OG(4,11)") == {("a", 1), ("b", 1), ("b", 3)}
 
     def test_last_a_always_essential_odd(self):
-        sp, idx = parse_index("(2,3|0) @ OG(3,9)")
-        assert ("a", 2) in rigidity.essential_orthgrass(sp, idx)
+        assert ("a", 2) in essential_keys("(2,3|0) @ OG(3,9)")
 
     def test_b1_always_essential(self):
-        sp, idx = parse_index("(|0,1) @ OG(2,9)")
-        assert ("b", 1) in rigidity.essential_orthgrass(sp, idx)
+        assert ("b", 1) in essential_keys("(|0,1) @ OG(2,9)")
 
     def test_even_n_boundary_clause(self):
         # a_s + b_{k-s} = n - 2 drops the last a-entry
-        sp, idx = parse_index("(3|3) @ OG(2,8)")
-        assert ("a", 1) not in rigidity.essential_orthgrass(sp, idx)
-        sp, idx = parse_index("(2|3) @ OG(2,8)")
-        assert ("a", 1) in rigidity.essential_orthgrass(sp, idx)
+        assert ("a", 1) not in essential_keys("(3|3) @ OG(2,8)")
+        assert ("a", 1) in essential_keys("(2|3) @ OG(2,8)")
 
 
 class TestEssentialFlag:
     def test_f124_example(self):
-        sp, idx = parse_index("2^1,4^2 @ F(1,2;4)")
-        assert rigidity.essential_flag_positions(sp, idx) == {1, 2}
+        assert essential_positions("2^1,4^2 @ F(1,2;4)") == {1, 2}
 
     def test_remark_index(self):
-        sp, idx = parse_index("1^2,3^1,4^2 @ F(1,3;4)")
-        assert rigidity.essential_flag_positions(sp, idx) == {1, 2, 3}
+        assert essential_positions("1^2,3^1,4^2 @ F(1,3;4)") == {1, 2, 3}
 
     def test_same_block_run(self):
-        sp, idx = parse_index("2^1,3^1,4^2 @ F(2,3;6)")
         # 2 and 3 sit consecutively in one block: only the run end is essential
-        assert rigidity.essential_flag_positions(sp, idx) == {2, 3}
-
-    def test_closed_form_matches_projection_definition(self):
-        # essential <=> essential in some push-forward (the defining property)
-        for text in ("F(1,2;4)", "F(1,3;5)", "F(1,2,3;5)"):
-            sp = parse_space(text)
-            for idx in enumerate_indices(sp):
-                closed = rigidity.essential_flag_positions(sp, idx)
-                analysis = rigidity._ClassAnalysis(sp, idx)
-                via_proj = {
-                    ref.position
-                    for ref in analysis.refs.values()
-                    if analysis.first(analysis.essential_at, 1, ref) is not None
-                }
-                assert closed == via_proj
+        assert essential_positions("2^1,3^1,4^2 @ F(2,3;6)") == {2, 3}
 
 
 class TestRigidSubindexGrass:
     def test_middle_not_rigid(self):
-        sp, idx = parse_index("1,3,5 @ G(3,5)")
-        assert rigidity.rigid_subindex_grass(sp, idx, 2) is False
+        assert verdict_of("1,3,5 @ G(3,5)").sub("a", 2).rigid is False
 
     def test_last_always_rigid(self):
         for text in ("1,3,5 @ G(3,5)", "2,4 @ G(2,4)", "1,4 @ G(2,5)"):
-            sp, idx = parse_index(text)
-            assert rigidity.rigid_subindex_grass(sp, idx, len(idx.a)) is True
+            verdict = verdict_of(text)
+            assert verdict.sub("a", len(verdict.index.a)).rigid is True
 
     def test_a1_equals_one(self):
-        sp, idx = parse_index("1,4 @ G(2,5)")
-        assert rigidity.rigid_subindex_grass(sp, idx, 1) is True
+        assert verdict_of("1,4 @ G(2,5)").sub("a", 1).rigid is True
 
     def test_requires_essential(self):
-        sp, idx = parse_index("1,2,4 @ G(3,5)")
-        with pytest.raises(NonEssentialSubIndexError):
-            rigidity.rigid_subindex_grass(sp, idx, 1)
+        # rigidity is undefined off the essential set: no verdict, no witness
+        sub = verdict_of("1,2,4 @ G(3,5)").sub("a", 1)
+        assert (sub.essential, sub.rigid, sub.witness) == (False, None, ())
 
 
 class TestRigidSubindexFlag:
     def test_rigid_with_block_step(self):
-        sp, idx = parse_index("2^1,4^2 @ F(1,2;4)")
-        verdict, levels = rigidity.rigid_subindex_flag(sp, idx, 1)
-        assert verdict is True and levels == (1,)
+        sub = verdict_of("2^1,4^2 @ F(1,2;4)").sub("a", 1)
+        assert sub.rigid is True and sub.witness == ("levels", (1,))
 
     def test_not_rigid_with_swapped_blocks(self):
-        sp, idx = parse_index("2^2,4^1 @ F(1,2;4)")
-        verdict, levels = rigidity.rigid_subindex_flag(sp, idx, 1)
-        assert verdict is False and levels == ()
+        sub = verdict_of("2^2,4^1 @ F(1,2;4)").sub("a", 1)
+        assert sub.rigid is False and sub.witness == ()
 
     def test_case_one_middle_sub_index(self):
-        sp, idx = parse_index("1^1,3^2,5^2 @ F(1,3;5)")
-        verdict, _ = rigidity.rigid_subindex_flag(sp, idx, 2)
-        assert verdict is False
-
-    def test_clause_equals_projection_everywhere_small(self):
-        for text in ("F(1,2;4)", "F(1,3;5)", "F(2,3;5)", "F(1,2,3;5)", "F(1,2;6)"):
-            sp = parse_space(text)
-            for idx in enumerate_indices(sp):
-                for i in rigidity.essential_flag_positions(sp, idx):
-                    verdict, levels = rigidity.rigid_subindex_flag(sp, idx, i)
-                    assert verdict == bool(levels)
+        assert verdict_of("1^1,3^2,5^2 @ F(1,3;5)").sub("a", 2).rigid is False
 
 
 class TestRelationFlag:
     def test_rigid_example_totally_ordered(self):
-        sp, idx = parse_index("2^1,4^2 @ F(1,2;4)")
-        assert rigidity.relation_flag(sp, idx).totally_ordered
+        assert verdict_of("2^1,4^2 @ F(1,2;4)").relation.totally_ordered
 
     def test_remark_index_not_ordered(self):
-        sp, idx = parse_index("1^2,3^1,4^2 @ F(1,3;4)")
-        report = rigidity.relation_flag(sp, idx)
+        verdict = verdict_of("1^2,3^1,4^2 @ F(1,3;4)")
+        report = verdict.relation
         assert report.totally_ordered is False
         # refs 1 and 2 are the incomparable pair
-        r1 = rigidity.find_ref(idx, "a", 1)
-        r2 = rigidity.find_ref(idx, "a", 2)
+        r1 = verdict.sub("a", 1).ref
+        r2 = verdict.sub("a", 2).ref
         assert not report.related(r1, r2) and not report.related(r2, r1)
 
     def test_paper_literal_flips_the_remark_index(self):
-        sp, idx = parse_index("1^2,3^1,4^2 @ F(1,3;4)")
-        assert rigidity.relation_flag(sp, idx, paper_literal=True).totally_ordered
+        assert verdict_of("1^2,3^1,4^2 @ F(1,3;4)", paper_literal=True).relation.totally_ordered
 
     def test_single_essential_trivially_ordered(self):
-        sp, idx = parse_index("1,2 @ G(2,5)")
-        assert rigidity.relation_flag(sp, idx).totally_ordered
+        assert verdict_of("1,2 @ G(2,5)").relation.totally_ordered
 
     def test_closure_is_transitive_and_strict(self):
         # flag edges only run from lower to higher positions, so the order is
@@ -154,7 +121,7 @@ class TestRelationFlag:
         for text in ("F(1,2;5)", "F(1,3;5)"):
             sp = parse_space(text)
             for idx in enumerate_indices(sp):
-                report = rigidity.relation_flag(sp, idx)
+                report = rigidity.classify(sp, idx).relation
                 assert report.strict
                 for x, y in report.closure:
                     for y2, z in report.closure:
@@ -164,21 +131,18 @@ class TestRelationFlag:
 
 class TestRigidClassFlag:
     def test_block_order_decides_the_pair(self):
-        sp, idx = parse_index("2^1,4^2 @ F(1,2;4)")
-        assert rigidity.rigid_class_flag(sp, idx).class_rigid is True
-        sp, idx = parse_index("2^2,4^1 @ F(1,2;4)")
-        assert rigidity.rigid_class_flag(sp, idx).class_rigid is False
+        assert verdict_of("2^1,4^2 @ F(1,2;4)").class_rigid is True
+        assert verdict_of("2^2,4^1 @ F(1,2;4)").class_rigid is False
 
     def test_hyperplane_section_class(self):
         # sigma_{n-k, n-k+2, ..., n} is a singular hyperplane section: not rigid
         for text in ("2,4 @ G(2,4)", "3,5,6 @ G(3,6)", "4,6,7,8 @ G(4,8)"):
-            sp, idx = parse_index(text)
-            assert rigidity.rigid_class_flag(sp, idx).class_rigid is False
+            assert verdict_of(text).class_rigid is False
 
     def test_census_baseline_g24(self):
         sp = parse_space("G(2,4)")
         verdicts = {
-            idx.a: rigidity.rigid_class_flag(sp, idx).class_rigid
+            idx.a: rigidity.classify(sp, idx).class_rigid
             for idx in enumerate_indices(sp)
         }
         assert verdicts == {
@@ -194,7 +158,7 @@ class TestRigidClassFlag:
         for text in ("F(1,2;5)", "F(1,3;5)", "G(2,6)"):
             sp = parse_space(text)
             for idx in enumerate_indices(sp):
-                verdict = rigidity.rigid_class_flag(sp, idx)
+                verdict = rigidity.classify(sp, idx)
                 for sub in verdict.subs:
                     if sub.rigid:
                         assert sub.essential
@@ -205,61 +169,39 @@ class TestRigidClassFlag:
 
 class TestRigidOrthGrass:
     def test_og411_a_side(self):
-        sp, idx = parse_index("(3|0,1,3) @ OG(4,11)")
-        ref = rigidity.find_ref(idx, "a", 1)
-        assert rigidity.rigid_subindex_orthgrass(sp, idx, ref) is True
+        assert verdict_of("(3|0,1,3) @ OG(4,11)").sub("a", 1).rigid is True
 
     def test_b_zero_rigid(self):
-        sp, idx = parse_index("(3|0,1,3) @ OG(4,11)")
-        ref = rigidity.find_ref(idx, "b", 1)
-        assert rigidity.rigid_subindex_orthgrass(sp, idx, ref) is True
+        assert verdict_of("(3|0,1,3) @ OG(4,11)").sub("b", 1).rigid is True
 
     def test_b_without_matching_a_not_rigid(self):
-        sp, idx = parse_index("(|1,3) @ OG(2,11)")
-        ref = rigidity.find_ref(idx, "b", 1)
-        assert rigidity.rigid_subindex_orthgrass(sp, idx, ref) is False
+        assert verdict_of("(|1,3) @ OG(2,11)").sub("b", 1).rigid is False
 
     def test_class_verdicts(self):
-        sp, idx = parse_index("(3|0,1,3) @ OG(4,11)")
-        assert rigidity.rigid_class_orthgrass(sp, idx).class_rigid is True
-        sp, idx = parse_index("(|1,3) @ OG(2,11)")
-        assert rigidity.rigid_class_orthgrass(sp, idx).class_rigid is False
-        sp, idx = parse_index("(1|1) @ OG(2,5)")
-        assert rigidity.rigid_class_orthgrass(sp, idx).class_rigid is False
+        assert verdict_of("(3|0,1,3) @ OG(4,11)").class_rigid is True
+        assert verdict_of("(|1,3) @ OG(2,11)").class_rigid is False
+        assert verdict_of("(1|1) @ OG(2,5)").class_rigid is False
 
     def test_fundamental_class_literal_corner(self):
         # the class conditions are evaluated verbatim: the all-vacuous index
         # (largest essential b is 0, no matching a) reports not rigid, even
         # though a fundamental class has no representative other than the
         # space itself; the per-sub-index clause still marks b=0 rigid
-        sp, idx = parse_index("(|0,1) @ OG(2,5)")
-        verdict = rigidity.rigid_class_orthgrass(sp, idx)
+        verdict = verdict_of("(|0,1) @ OG(2,5)")
         assert verdict.class_rigid is False
         assert verdict.sub("b", 1).rigid is True
 
     def test_even_n_value_clause_never_fires(self):
         # (n-3)/2 is a half-integer for even n; the equality clause is void,
         # so a-entries recurring in b stay rigid
-        sp, idx = parse_index("(1|1) @ OG(2,8)")
-        ref = rigidity.find_ref(idx, "a", 1)
-        assert rigidity.rigid_subindex_orthgrass(sp, idx, ref) is True
-
-    def test_class_rigid_implies_sub_rigid(self):
-        for text in ("OG(2,7)", "OG(2,9)", "OG(3,9)", "OG(2,8)"):
-            sp = parse_space(text)
-            for idx in enumerate_indices(sp):
-                verdict = rigidity.rigid_class_orthgrass(sp, idx)
-                if verdict.class_rigid:
-                    assert all(v.rigid for v in verdict.subs if v.essential)
+        assert verdict_of("(1|1) @ OG(2,8)").sub("a", 1).rigid is True
 
 
 class TestOrthFlag:
     def test_implies_relation_chain(self):
-        sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-        report = rigidity.implies_relation_orthflag(sp, idx)
-        a3 = rigidity.find_ref(idx, "a", 1)
-        b3 = rigidity.find_ref(idx, "b", 3)
-        b1 = rigidity.find_ref(idx, "b", 2)
+        analysis = rigidity._ClassAnalysis(*parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)"))
+        report = analysis.implies_relation()
+        a3, b3, b1 = (analysis.refs[key] for key in (("a", 1), ("b", 3), ("b", 2)))
         assert report.related(a3, b3)
         assert report.related(b3, b1)
         assert report.related(a3, b1)  # transitivity
@@ -267,36 +209,28 @@ class TestOrthFlag:
             assert report.related(e, e)  # reflexivity
 
     def test_no_edge_into_from_half_minus_one(self):
-        sp, idx = parse_index("(|2^1,3^2) @ OF(1,2;8)")
-        report = rigidity.implies_relation_orthflag(sp, idx)
-        b2 = rigidity.find_ref(idx, "b", 1)
-        b3 = rigidity.find_ref(idx, "b", 2)
+        analysis = rigidity._ClassAnalysis(*parse_index("(|2^1,3^2) @ OF(1,2;8)"))
+        report = analysis.implies_relation()
+        b2, b3 = analysis.refs["b", 1], analysis.refs["b", 2]
         # b_2 has value 3 = n/2 - 1: no propagation out of it
         assert not report.related(b3, b2)
 
     def test_rigid_sub_example(self):
-        sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-        ref = rigidity.find_ref(idx, "b", 2)
-        assert ref.value == 1
-        verdict, witness = rigidity.rigid_subindex_orthflag(sp, idx, ref)
-        assert verdict is True
-        kind, (chain, level) = witness
+        sub = verdict_of("(3^2|3^1,1^1,0^2) @ OF(2,4;11)").sub("b", 2)
+        assert sub.ref.value == 1
+        assert sub.rigid is True
+        kind, (chain, level) = sub.witness
         assert kind == "chain"
         assert [(-1 if r.side == "b" else 1) * r.value for r in chain] == [3, -3, -1]
         assert level == 2
 
     def test_point_class_projection(self):
-        sp, idx = parse_index("(1^1|1^2) @ OF(1,2;5)")
-        ref = rigidity.find_ref(idx, "a", 1)
-        verdict, _ = rigidity.rigid_subindex_orthflag(sp, idx, ref)
-        assert verdict is True
+        assert verdict_of("(1^1|1^2) @ OF(1,2;5)").sub("a", 1).rigid is True
 
     def test_class_verdicts(self):
-        sp, idx = parse_index("(1^1|1^2) @ OF(1,2;5)")
-        assert rigidity.rigid_class_orthflag(sp, idx).class_rigid is True
+        assert verdict_of("(1^1|1^2) @ OF(1,2;5)").class_rigid is True
         # regression baseline: the block-swapped sibling is not rigid
-        sp, idx = parse_index("(1^2|1^1) @ OF(1,2;5)")
-        verdict = rigidity.rigid_class_orthflag(sp, idx)
+        verdict = verdict_of("(1^2|1^1) @ OF(1,2;5)")
         assert verdict.class_rigid is False
         assert all(v.rigid is False for v in verdict.subs if v.essential)
 
@@ -304,31 +238,25 @@ class TestOrthFlag:
         for text in ("OF(1,2;5)", "OF(1,2;6)", "OF(1,2;7)"):
             sp = parse_space(text)
             for idx in enumerate_indices(sp):
-                verdict = rigidity.rigid_class_orthflag(sp, idx)
+                verdict = rigidity.classify(sp, idx)
                 if verdict.class_rigid:
                     assert verdict.relation.totally_ordered
 
 
 class TestSymplectic:
     def test_family_members(self):
-        sp, idx = parse_index("(1|1) @ SG(2,8)")
-        assert rigidity.rigid_symp(sp, idx).class_rigid is True
-        sp, idx = parse_index("(1,2|2) @ SG(3,10)")
-        assert rigidity.rigid_symp(sp, idx).class_rigid is True
+        assert verdict_of("(1|1) @ SG(2,8)").class_rigid is True
+        assert verdict_of("(1,2|2) @ SG(3,10)").class_rigid is True
 
     def test_unknown(self):
-        sp, idx = parse_index("(2|0) @ SG(2,8)")
-        verdict = rigidity.rigid_symp(sp, idx)
-        assert verdict.class_rigid is None
+        assert verdict_of("(2|0) @ SG(2,8)").class_rigid is None
 
     def test_sufficient_sub_index(self):
-        sp, idx = parse_index("(1,4|) @ SG(2,8)")
-        verdict = rigidity.rigid_symp(sp, idx)
+        verdict = verdict_of("(1,4|) @ SG(2,8)")
         assert verdict.sub("a", 1).rigid is True  # a_1 = 1 with gap >= 3
 
     def test_flagged_symp_propagation(self):
-        sp, idx = parse_index("(1^1|1^2) @ SF(1,2;8)")
-        verdict = rigidity.rigid_symp(sp, idx)
+        verdict = verdict_of("(1^1|1^2) @ SF(1,2;8)")
         assert verdict.sub("a", 1).rigid is True  # point class under pi_1
         assert verdict.class_rigid is None
 
@@ -385,7 +313,8 @@ class TestValidateOncePerClass:
         "SG(6,14)", "G(6,14)", "F(1,2,3,4;8)", "OG(7,17)", "OF(2,4;13)", "SF(2,4;12)"
     )
 
-    def test_classify_validates_each_class_once(self, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = []
         original = indices.validate
 
@@ -394,12 +323,21 @@ class TestValidateOncePerClass:
             return original(space, index)
 
         monkeypatch.setattr(indices, "validate", counted)
+        return calls
+
+    def test_classify_validates_each_class_once(self, calls):
         for text in self.CENSUS_SPACES:
             sp = parse_space(text)
             for idx in list(enumerate_indices(sp))[::40]:
                 calls.clear()
                 rigidity.classify(sp, idx)
                 assert len(calls) == 1, (text, str(idx))
+
+    def test_multirigid_on_grass_validates_once_per_call(self, calls, capsys):
+        # one validation parsing the literal, one where multirigid reads it
+        assert cli.main(["multirigid", "1,2,4,7 @ G(4,9)"]) == 0
+        assert capsys.readouterr().out == "a2=False a3=False a4=False\n"
+        assert len(calls) == 2
 
 
 GOLDEN_VERDICTS = pathlib.Path(__file__).parent / "data" / "verdicts_golden.jsonl"
