@@ -42,6 +42,19 @@ class TestMultirigidGrass:
                 for i in sorted(rigidity.essential_grass(sp, idx))
             )
 
+    def test_implies_rigid_sweep(self):
+        # rigid verdicts from the per-space census path
+        from schubrigid.indices import SpaceDescriptor, SpaceKind
+
+        for n in range(2, 11):
+            for k in range(1, min(4, n - 1) + 1):
+                sp = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+                indices = list(enumerate_indices(sp))
+                for idx, verdict in zip(indices, rigidity.classify_space(sp, indices)):
+                    for i in rigidity.essential_grass(sp, idx):
+                        if multirigid.multirigid_subindex_grass(sp, idx, i):
+                            assert verdict.sub("a", i).rigid
+
 
 class TestGamma:
     def test_gamma_top_examples(self):

@@ -64,6 +64,20 @@ class TestEssentialFlag:
         # 2 and 3 sit consecutively in one block: only the run end is essential
         assert essential_positions("2^1,3^1,4^2 @ F(2,3;6)") == {2, 3}
 
+    def test_closed_form_matches_projection_definition(self):
+        # essential <=> essential in some push-forward (the defining property)
+        for text in ("F(1,2;4)", "F(1,3;5)", "F(1,2,3;5)"):
+            sp = parse_space(text)
+            for idx in enumerate_indices(sp):
+                closed = {ref.position for ref in rigidity.classify(sp, idx).essential_refs()}
+                analysis = rigidity._ClassAnalysis(sp, idx)
+                via_proj = {
+                    ref.position
+                    for ref in analysis.refs.values()
+                    if analysis.first(analysis.essential_at, 1, ref) is not None
+                }
+                assert closed == via_proj
+
 
 class TestRigidSubindexGrass:
     def test_middle_not_rigid(self):
@@ -94,6 +108,18 @@ class TestRigidSubindexFlag:
 
     def test_case_one_middle_sub_index(self):
         assert verdict_of("1^1,3^2,5^2 @ F(1,3;5)").sub("a", 2).rigid is False
+
+    def test_clause_equals_projection_everywhere_small(self):
+        for text in ("F(1,2;4)", "F(1,3;5)", "F(2,3;5)", "F(1,2,3;5)", "F(1,2;6)"):
+            sp = parse_space(text)
+            for idx in enumerate_indices(sp):
+                verdict = rigidity.classify(sp, idx)
+                analysis = rigidity._ClassAnalysis(sp, idx)
+                for ref in verdict.essential_refs():
+                    levels = tuple(
+                        analysis.levels(analysis.rigid_at, 1, analysis.refs["a", ref.position])
+                    )
+                    assert verdict.sub("a", ref.position).rigid == bool(levels)
 
 
 class TestRelationFlag:
