@@ -31,9 +31,11 @@ class CheckFailure(AssertionError):
     pass
 
 
-def _expect(condition, detail):
+def _expect(condition, detail, *args):
+    """Raise ``CheckFailure(detail % args)`` unless ``condition``; a sweep
+    passes ``args`` so that the detail is formatted only when it fails."""
     if not condition:
-        raise CheckFailure(detail)
+        raise CheckFailure(detail % args if args else detail)
 
 
 # ---------------------------------------------------------------------------
@@ -194,26 +196,28 @@ def _spaces(kinds, max_n, max_steps):
 def check_flag_corollary_equivalence_sweep():
     """Closed-form flag essentialness and rigidity == the projection definitions,
     read per level off one analysis per class: the image through the removal
-    rule, then the essential and rigid tests in that image."""
+    rule, then the essential and rigid tests in that image, from one set of
+    image tables per space."""
     checked = 0
     for space in _spaces((SpaceKind.FLAG_A,), max_n=7, max_steps=3):
+        tables = rigidity._SpaceTables(space)
         for idx in enumerate_indices(space):
-            analysis = rigidity._ClassAnalysis(space, idx)
+            analysis = rigidity._ClassAnalysis(space, idx, tables)
             essentials = rigidity._flag_essential(idx)
-            for ref in analysis.refs.values():
-                via_projection = analysis.first(analysis.essential_at, 1, ref) is not None
+            for q, ref in enumerate(analysis.refs):
+                via_projection = analysis.first(analysis.ess, 1, 1 << q) is not None
                 _expect(
                     (ref.position in essentials) == via_projection,
-                    "essential closed form mismatch for a_%d of %s @ %s"
-                    % (ref.position, idx, space),
+                    "essential closed form mismatch for a_%d of %s @ %s",
+                    ref.position, idx, space,
                 )
             for i in sorted(essentials):
                 verdict = rigidity._flag_clause_rigid(idx, i)
-                levels = tuple(analysis.levels(analysis.rigid_at, 1, analysis.refs["a", i]))
+                levels = analysis.levels(analysis.rig, 1, 1 << (i - 1))  # a_i is ref i - 1
                 _expect(
                     verdict == bool(levels),
-                    "clause/projection mismatch for a_%d of %s @ %s: %s vs %s"
-                    % (i, idx, space, verdict, levels),
+                    "clause/projection mismatch for a_%d of %s @ %s: %s vs %s",
+                    i, idx, space, verdict, levels,
                 )
                 checked += 1
     return "%d sub-indices checked (plus essentialness per entry)" % checked

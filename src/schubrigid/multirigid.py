@@ -225,22 +225,14 @@ def og_pushforward_leading(space, index, i=None):
     )
 
 
-def multirigid_subindex_og(space, index, ref):
-    """Multi-rigidity test for an essential OG sub-index.
+def _multirigid_og(space, index, keys, key):
+    """Multi-rigidity test for the essential OG sub-index ``key`` of a valid
+    index whose essential keys are ``keys``.
 
     a-side: the co-condition hypothesis for every b_j < a_{i+1} plus one of
     the two gap clauses (the i = s clause reads the next-value sentinel).
     b-side: true exactly when the value recurs as a multi-rigid a-entry.
     """
-    check_valid(space, index)
-    keys = _orth_essential(space.ambient, index)
-    if ref.key() not in keys:
-        raise NonEssentialSubIndexError(ref)
-    return _multirigid_og(space, index, keys, ref.key())
-
-
-def _multirigid_og(space, index, keys, key):
-    """Unchecked core of ``multirigid_subindex_og`` for an essential key."""
     side, i = key
     if side == "b":
         value = index.b[i - 1]

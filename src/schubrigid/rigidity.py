@@ -26,16 +26,16 @@ witness level 1, and the relation is the chain of essential entries.  Its
 refs carry block 1, the label F(k;n) would give them.
 
 Every flag verdict reads one per-class analysis (``_ClassAnalysis``).  It
-validates the index once, holds the sub-index refs by key and, for each
-projection level t on first use, keeps the image under pi_t and where each
-surviving ref lands.  What depends only on the image -- the target space of
-each level, the image's essential set and whether an image entry is rigid --
-lives in ``_SpaceTables``, keyed by level and image, because the classes of
-one space keep meeting the same few images.  Every question of the form
-"levels t >= max(threshold, block) where ..." -- first essential level,
-first common essential level, rigid levels, the SF a_i = i test -- is one
-walk over that table, so each push-forward is computed at most once per
-class.  ``classify`` is the one verdict path: a single call builds its own
+validates the index once, numbers its refs 0..m-1 and takes the image under
+each pi_t once.  What depends only on the image -- the target space of each
+level and one (essential, rigid) pair of bitmasks over the image's entries
+-- lives in ``_SpaceTables``, keyed by the tuple (t, image.a, image.b),
+because the classes of one space keep meeting the same few images.  The
+analysis maps each level's masks onto its own ref bits, so every question
+"first level t >= threshold where these refs are essential / rigid" -- first
+essential level, first common essential level, rigid levels, the SF a_i = i
+test -- is a loop over ints, and a relation closes by Warshall over bit
+rows.  ``classify`` is the one verdict path: a single call builds its own
 tables, and ``classify_space`` shares one set across the classes of a
 census.  Nothing outlives the call that built it.  Read a sub-index verdict
 with ``RigidityVerdict.sub`` and the relation with ``.relation``.
@@ -48,7 +48,6 @@ clause tests -- trusts it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import inf
 
@@ -110,12 +109,22 @@ class RelationEdge:
 class RelationReport:
     elements: tuple  # the essential refs the relation is defined on
     edges: tuple
-    closure: frozenset  # transitively closed set of (key, key) pairs
+    rows: tuple  # transitive closure: bit j of rows[i] <=> elements[i] relates to elements[j]
     totally_ordered: bool
     strict: bool
 
+    @property
+    def closure(self):
+        """The transitive closure as a frozenset of (key, key) pairs."""
+        keys = [ref.key() for ref in self.elements]
+        pairs = zip(keys, self.rows)
+        return frozenset((p, q) for p, row in pairs for j, q in enumerate(keys) if row >> j & 1)
+
     def related(self, source, target):
-        return (source.key(), target.key()) in self.closure
+        keys = [ref.key() for ref in self.elements]
+        if source.key() not in keys or target.key() not in keys:
+            return False
+        return bool(self.rows[keys.index(source.key())] >> keys.index(target.key()) & 1)
 
     def to_json(self):
         return {
@@ -126,30 +135,28 @@ class RelationReport:
 
 
 def _close_and_grade(elements, edges):
-    keys = [ref.key() for ref in elements]
-    closure = {(e.source.key(), e.target.key()) for e in edges}
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(closure):
-            for y2, z in list(closure):
-                if y == y2 and (x, z) not in closure:
-                    closure.add((x, z))
-                    changed = True
-    totally = all(
-        (p, q) in closure or (q, p) in closure
-        for idx, p in enumerate(keys)
-        for q in keys[idx + 1 :]
-    )
-    strict = all((q, p) not in closure for p, q in closure if p != q) and all(
-        (p, p) not in closure for p in keys
-    )
+    """Close ``edges`` transitively (Warshall over bit rows) and grade the result.
+
+    The edges join refs of ``elements`` themselves, so refs are matched by
+    identity.  Transitive closure makes strictness "no element above itself".
+    """
+    number = {id(ref): i for i, ref in enumerate(elements)}
+    rows = [0] * len(elements)
+    for e in edges:
+        rows[number[id(e.source)]] |= 1 << number[id(e.target)]
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    m = len(rows)
+    totally = all(rows[i] >> j & 1 or rows[j] >> i & 1 for i in range(m) for j in range(i + 1, m))
     return RelationReport(
         elements=tuple(elements),
         edges=tuple(edges),
-        closure=frozenset(closure),
+        rows=tuple(rows),
         totally_ordered=totally,
-        strict=strict,
+        strict=not any(row >> i & 1 for i, row in enumerate(rows)),
     )
 
 
@@ -272,143 +279,139 @@ def _flag_essential(index):
 class _SpaceTables:
     """What the classes of one flag space share, each fact computed once.
 
-    The target space of each level; per image of pi_t, keyed by
-    ``(t, image)``, its essential keys; per ``(t, image, image key)``,
-    whether that entry is essential and rigid in the image (on SF: whether
-    a_i = i suffices there).  The tables hold nothing of any one class.  A
-    census builds one for its space and passes it to every ``classify`` call
-    (``classify_space``); every other call builds its own.
+    The target space of each level, and per image of pi_t, keyed by the
+    plain tuple ``(t, image.a, image.b)``, one ``(essential, rigid)`` pair
+    of int bitmasks over the image's entries: bit p - 1 for a_p, then bit
+    s + q - 1 for b_q.  Rigid means essential and rigid in the image (on SF:
+    a_i = i suffices there).  A pair is filled once per distinct image, from
+    the essential cores and the clause tests.  The tables hold nothing of any
+    one class.  A census builds one for its space and passes it to every
+    ``classify`` call (``classify_space``); every other call builds its own.
     """
 
     def __init__(self, space):
         self.space = space
         self._targets = {}
-        self._essential = {}
-        self._rigid = {}
+        self._masks = {}
 
     def target(self, t):
         if t not in self._targets:
             self._targets[t] = target_space(self.space, t)
         return self._targets[t]
 
-    def essential(self, t, image):
-        if (t, image) not in self._essential:
-            kind = self.space.kind
-            if kind is SpaceKind.FLAG_A:
-                essential = {("a", i) for i in _gap_positions(image.a)}
-            elif kind is SpaceKind.FLAG_ORTH:
-                essential = _orth_essential(self.space.ambient, image)
-            else:
-                essential = _symp_essential(image)
-            self._essential[t, image] = essential
-        return self._essential[t, image]
+    def masks(self, t, image):
+        key = (t, image.a, image.b)
+        masks = self._masks.get(key)
+        if masks is None:
+            masks = self._masks[key] = self._fill(t, image)
+        return masks
 
-    def rigid(self, t, image, image_key):
-        if (t, image, image_key) not in self._rigid:
-            kind = self.space.kind
-            rigid = image_key in self.essential(t, image)
-            if rigid and kind is SpaceKind.FLAG_A:
-                rigid = _grass_rigid(image.a, image_key[1])
-            elif rigid and kind is SpaceKind.FLAG_ORTH:
-                rigid = _orth_rigid(self.target(t), image, image_key)
-            elif rigid:
-                rigid = image_key[0] == "a" and _sg_sufficient(self.target(t), image, image_key[1])
-            self._rigid[t, image, image_key] = rigid
-        return self._rigid[t, image, image_key]
+    def _fill(self, t, image):
+        kind, s = self.space.kind, image.s
+        if kind is SpaceKind.FLAG_A:
+            keys = [("a", i) for i in _gap_positions(image.a)]
+        elif kind is SpaceKind.FLAG_ORTH:
+            keys = _orth_essential(self.space.ambient, image)
+        else:
+            keys = _symp_essential(image)
+        essential = rigid = 0
+        for side, p in keys:
+            bit = 1 << (p - 1 if side == "a" else s + p - 1)
+            essential |= bit
+            if kind is SpaceKind.FLAG_A:
+                rigid_here = _grass_rigid(image.a, p)
+            elif kind is SpaceKind.FLAG_ORTH:
+                rigid_here = _orth_rigid(self.target(t), image, (side, p))
+            else:
+                rigid_here = side == "a" and _sg_sufficient(self.target(t), image, p)
+            if rigid_here:
+                rigid |= bit
+        return essential, rigid
 
 
 class _ClassAnalysis:
-    """What the verdicts on one class read, each fact computed once.
+    """What the verdicts on one flag class read, each fact computed once.
 
-    The index is validated here, once, and the refs are held by key;
-    everything after that runs unchecked cores.  For a projection level t,
-    on first use, the image under pi_t (``remove_above``, the one removal
-    rule), the image key of every surviving ref and the image's essential
-    keys are stored.  What depends only on the image -- its essential keys,
-    the rigidity of its entries, the target space -- is read from
-    ``tables``, the space's ``_SpaceTables``: a census passes one shared by
-    every class of the space, any other call gets its own.  An analysis
-    lives for one class.
+    The index is validated here, once, and its refs are numbered 0..m-1 in
+    ``make_refs`` order (a side, then b side); everything after that runs
+    unchecked cores.  For each level t = 1..blocks the image under pi_t
+    (``remove_above``, the one removal rule) is taken once, its masks are
+    read from ``tables``, the space's ``_SpaceTables``, and mapped onto the
+    class's bits through the refs that survive at t: ``ess[t]`` and
+    ``rig[t]`` have bit q when ref q is essential, resp. essential and rigid,
+    in that image; ``essential`` lists the essential ref numbers.  Every
+    question "first level t >= threshold where all these refs are essential /
+    rigid" is a loop over those masks; a ref's bit is clear below its own
+    block, so the threshold needs no max with it.  A census passes one
+    ``tables`` shared by every class of the space, any other call gets its
+    own.  An analysis lives for one class.
     """
 
     def __init__(self, space, index, tables=None):
         check_valid(space, index)
         self.space, self.index = space, index
-        self.tables = _SpaceTables(space) if tables is None else tables
-        self.refs = {ref.key(): ref for ref in make_refs(index)}
-        self._levels = {}
+        tables = _SpaceTables(space) if tables is None else tables
+        self.refs = make_refs(index)
+        self.blocks = space.blocks
+        self.ess, self.rig = [0], [0]  # level 0 is never read
+        ref_blocks = [ref.block for ref in self.refs]
+        for t in range(1, self.blocks + 1):
+            ess, rig = tables.masks(t, remove_above(index, t))
+            if t < self.blocks:  # at the top level every ref survives in place
+                image_ess, image_rig = ess, rig
+                ess = rig = 0
+                image_bit = bit = 1
+                for block in ref_blocks:
+                    if block <= t:
+                        if image_ess & image_bit:
+                            ess |= bit
+                        if image_rig & image_bit:
+                            rig |= bit
+                        image_bit <<= 1
+                    bit <<= 1
+            self.ess.append(ess)
+            self.rig.append(rig)
+        if space.kind is SpaceKind.FLAG_A:  # the closed form; ref q is a_{q+1}
+            self.essential = tuple([i - 1 for i in sorted(_flag_essential(index))])
+        else:  # essential in some pi_t
+            essential = 0
+            for mask in self.ess:
+                essential |= mask
+            self.essential = tuple([q for q in range(len(self.refs)) if essential >> q & 1])
 
-    @property
-    def kind(self):
-        return self.space.kind
+    def first(self, table, threshold, need):
+        """The least level t >= threshold with every bit of ``need`` set in
+        ``table[t]`` (``ess`` or ``rig``), or None."""
+        for t in range(threshold, self.blocks + 1):
+            if table[t] & need == need:
+                return t
+        return None
 
-    def level(self, t):
-        """(image, {class key: image key}, image essential keys) of pi_t."""
-        if t not in self._levels:
-            image = remove_above(self.index, t)
-            kept = {}
-            for side in "ab":
-                survivors = [r for r in self.refs.values() if r.side == side and r.block <= t]
-                kept.update((r.key(), (side, p)) for p, r in enumerate(survivors, start=1))
-            self._levels[t] = (image, kept, self.tables.essential(t, image))
-        return self._levels[t]
-
-    def essential_at(self, key, t):
-        _, kept, essential = self.level(t)
-        return kept.get(key) in essential
-
-    def rigid_at(self, key, t):
-        """Is the ref essential and rigid in pi_t?  On SF: does a_i = i suffice there?"""
-        image, kept, _ = self.level(t)
-        return self.tables.rigid(t, image, kept[key])
-
-    def levels(self, test, threshold, *refs):
-        """Levels t >= max(threshold, the refs' blocks) where ``test(key, t)``
-        holds for every ref, ascending."""
-        start = max(threshold, *(ref.block for ref in refs))
-        for t in range(start, self.space.blocks + 1):
-            if all(test(ref.key(), t) for ref in refs):
-                yield t
-
-    def first(self, test, threshold, *refs):
-        return next(self.levels(test, threshold, *refs), None)
-
-    @cached_property
-    def essential(self):
-        """Essential refs by key: the closed form on type A, else essential in some pi_t."""
-        if self.kind is SpaceKind.FLAG_A:
-            positions = _flag_essential(self.index)
-            return {key: r for key, r in self.refs.items() if r.position in positions}
-        return {
-            key: r
-            for key, r in self.refs.items()
-            if self.first(self.essential_at, 1, r) is not None
-        }
+    def levels(self, table, threshold, need):
+        """Every such level, ascending."""
+        return tuple([t for t in range(threshold, self.blocks + 1) if table[t] & need == need])
 
     def subs(self, verdict_of):
-        """One SubIndexVerdict per ref; ``verdict_of(ref)`` gives (rigid, witness)."""
+        """One SubIndexVerdict per ref; ``verdict_of(q)`` is essential ref q's (rigid, witness)."""
         return tuple(
-            SubIndexVerdict(ref, True, *verdict_of(ref))
-            if ref.key() in self.essential
+            SubIndexVerdict(ref, True, *verdict_of(q))
+            if q in self.essential
             else SubIndexVerdict(ref, False, None)
-            for ref in self.refs.values()
+            for q, ref in enumerate(self.refs)
         )
-
-    def flag_sub(self, i):
-        levels = tuple(self.levels(self.rigid_at, 1, self.refs["a", i]))
-        return _flag_clause_rigid(self.index, i), levels
 
     def flag_relation(self, paper_literal):
         pick = min if paper_literal else max
-        refs = list(self.essential.values())
+        refs = self.refs
         edges = []
-        for src in refs:
-            for dst in refs:
-                if src.position < dst.position:
-                    level = self.first(self.essential_at, pick(src.block, dst.block), dst)
-                    if level is not None:
-                        edges.append(RelationEdge(src, dst, level))
-        return _close_and_grade(refs, edges)
+        for p, qs in enumerate(self.essential):
+            src = refs[qs]
+            for qd in self.essential[p + 1 :]:
+                dst = refs[qd]
+                level = self.first(self.ess, pick(src.block, dst.block), 1 << qd)
+                if level is not None:
+                    edges.append(RelationEdge(src, dst, level))
+        return _close_and_grade([refs[q] for q in self.essential], edges)
 
     def implies_relation(self):
         """The ``=>`` relation on the essential OF refs, closed reflexively and
@@ -416,53 +419,58 @@ class _ClassAnalysis:
         n/2 - 1, when the smaller entry is essential in some admissible
         push-forward; a_i <=> b_j when the values agree and are not n/2 - 1."""
         n = self.space.ambient
-        refs = list(self.essential.values())
+        refs = self.refs
         edges = []
-        for src in refs:
-            for dst in refs:
-                if src.key() == dst.key():
+        for qs in self.essential:
+            src = refs[qs]
+            for qd in self.essential:
+                dst = refs[qd]
+                if qs == qd:
                     edges.append(RelationEdge(src, dst))
                     continue
-                if src.side == "b" and dst.side == "b" and dst.position < src.position:
+                if src.side == "b" and dst.side == "b" and qd < qs:
                     if 2 * src.value == n - 2:
                         continue
-                    level = self.first(self.essential_at, min(src.block, dst.block), dst)
+                    level = self.first(self.ess, min(src.block, dst.block), 1 << qd)
                     if level is not None:
                         edges.append(RelationEdge(src, dst, level))
                 elif src.side != dst.side and src.value == dst.value:
                     if 2 * src.value != n - 2:
                         edges.append(RelationEdge(src, dst))
-        return _close_and_grade(refs, edges)
+        return _close_and_grade([refs[q] for q in self.essential], edges)
 
-    def orth_sub(self, implies, ref):
-        """(verdict, witness chain) of an essential OF sub-index: rigid exactly
+    def orth_sub(self, implies, q):
+        """(verdict, witness chain) of the essential OF ref q: rigid exactly
         when some entry related to it under ``=>`` is rigid in a push-forward."""
-        for source in implies.elements:
-            if not implies.related(source, ref):
+        target = 1 << self.essential.index(q)
+        for row, source, qs in zip(implies.rows, implies.elements, self.essential):
+            if not row & target:
                 continue
-            level = self.first(self.rigid_at, 1, source)
+            level = self.first(self.rig, 1, 1 << qs)
             if level is not None:
-                return True, ("chain", (_chain_between(implies, source, ref), level))
+                return True, ("chain", (_chain_between(implies, source, self.refs[q]), level))
         return False, ()
 
     def compat_relation(self, paper_literal):
         """The four-clause compatibility relation on the essential OF refs."""
         n = self.space.ambient
-        refs = list(self.essential.values())
+        refs = self.refs
         pick = min if paper_literal else max
         edges = []
-        for src in refs:
-            for dst in refs:
-                if src.key() == dst.key():
+        for qs in self.essential:
+            src = refs[qs]
+            for qd in self.essential:
+                if qs == qd:
                     continue
+                dst = refs[qd]
                 threshold = pick(src.block, dst.block)
                 if src.side == "a" and dst.side == "a":
-                    if src.position > dst.position:
+                    if qs > qd:
                         continue
                     if n % 2 == 0 and 2 * dst.value == n:
                         edges.append(RelationEdge(src, dst))
                         continue
-                    level = self.first(self.essential_at, threshold, dst)
+                    level = self.first(self.ess, threshold, 1 << qd)
                 elif src.side == "a" and dst.side == "b":
                     if src.value <= dst.value:
                         edges.append(RelationEdge(src, dst))
@@ -470,14 +478,14 @@ class _ClassAnalysis:
                 elif src.side == "b" and dst.side == "a":
                     if src.value > dst.value or 2 * src.value == n - 2:
                         continue
-                    level = self.first(self.essential_at, threshold, src, dst)
+                    level = self.first(self.ess, threshold, 1 << qs | 1 << qd)
                 else:
-                    if src.position > dst.position:
+                    if qs > qd:
                         continue
-                    level = self.first(self.essential_at, threshold, src)
+                    level = self.first(self.ess, threshold, 1 << qs)
                 if level is not None:
                     edges.append(RelationEdge(src, dst, level))
-        return _close_and_grade(refs, edges)
+        return _close_and_grade([refs[q] for q in self.essential], edges)
 
 
 def _ordered_verdict(space, index, subs, relation):
@@ -535,9 +543,9 @@ def _flag_clause_rigid(index, i):
 
 
 def _flag_class(analysis, paper_literal):
-    def verdict_of(ref):
-        verdict, levels = analysis.flag_sub(ref.position)
-        return verdict, ("levels", levels) if levels else ()
+    def verdict_of(q):  # ref q is a_{q+1}
+        levels = analysis.levels(analysis.rig, 1, 1 << q)
+        return _flag_clause_rigid(analysis.index, q + 1), ("levels", levels) if levels else ()
 
     return _ordered_verdict(
         analysis.space,
@@ -569,10 +577,11 @@ def _grass_chain(subs):
     level 1.  Closed, total and strict as built."""
     refs = tuple(v.ref for v in subs if v.essential)
     edges = tuple(RelationEdge(src, dst, 1) for p, src in enumerate(refs) for dst in refs[p + 1 :])
+    full = (1 << len(refs)) - 1
     return RelationReport(
         elements=refs,
         edges=edges,
-        closure=frozenset((e.source.key(), e.target.key()) for e in edges),
+        rows=tuple(full >> (p + 1) << (p + 1) for p in range(len(refs))),
         totally_ordered=True,
         strict=True,
     )
@@ -690,7 +699,7 @@ def _chain_between(relation, source, target):
 
 def _orthflag_class(analysis, paper_literal):
     implies = analysis.implies_relation()
-    subs = analysis.subs(lambda ref: analysis.orth_sub(implies, ref))
+    subs = analysis.subs(lambda q: analysis.orth_sub(implies, q))
     relation = analysis.compat_relation(paper_literal)
     return _ordered_verdict(analysis.space, analysis.index, subs, relation)
 
@@ -724,40 +733,41 @@ def _is_rigid_family(space, index):
     return index.a == tuple(range(1, i + 1)) and index.b == tuple(range(i, k))
 
 
-def _symp_class(analysis):
-    space, index = analysis.space, analysis.index
-    if space.kind is SpaceKind.GRASS_SYMP:
-        keys = _symp_essential(index)
-        family = _is_rigid_family(space, index)
-        subs = []
-        for ref in analysis.refs.values():
-            essential = ref.key() in keys
-            rigid = None
-            witness = ()
-            if essential and ref.side == "a" and _sg_sufficient(space, index, ref.position):
-                rigid = True
-                witness = ("note", "a_i = i sufficient condition")
-            if essential and rigid is None and family:
-                # a rigid class pins the witness subspace of every essential entry
-                rigid = True
-                witness = ("note", "class is a rigid family member")
-            subs.append(SubIndexVerdict(ref, essential, rigid, witness))
-        return RigidityVerdict(
-            space=space,
-            index=index,
-            subs=tuple(subs),
-            class_rigid=True if family else None,
-            notes=() if family else ("no sufficient type-C criterion applies",),
-        )
-
-    def verdict_of(ref):
-        # rigid_at is False on the b side: type C has no b-side condition
-        level = analysis.first(analysis.rigid_at, 1, ref)
-        return (None, ()) if level is None else (True, ("levels", (level,)))
-
+def _sympgrass_class(space, index):
+    check_valid(space, index)
+    keys = _symp_essential(index)
+    family = _is_rigid_family(space, index)
+    subs = []
+    for ref in make_refs(index):
+        essential = ref.key() in keys
+        rigid = None
+        witness = ()
+        if essential and ref.side == "a" and _sg_sufficient(space, index, ref.position):
+            rigid = True
+            witness = ("note", "a_i = i sufficient condition")
+        if essential and rigid is None and family:
+            # a rigid class pins the witness subspace of every essential entry
+            rigid = True
+            witness = ("note", "class is a rigid family member")
+        subs.append(SubIndexVerdict(ref, essential, rigid, witness))
     return RigidityVerdict(
         space=space,
         index=index,
+        subs=tuple(subs),
+        class_rigid=True if family else None,
+        notes=() if family else ("no sufficient type-C criterion applies",),
+    )
+
+
+def _sympflag_class(analysis):
+    def verdict_of(q):
+        # rig is clear on the b side: type C has no b-side condition
+        level = analysis.first(analysis.rig, 1, 1 << q)
+        return (None, ()) if level is None else (True, ("levels", (level,)))
+
+    return RigidityVerdict(
+        space=analysis.space,
+        index=analysis.index,
         subs=analysis.subs(verdict_of),
         class_rigid=None,
         notes=("type-C flag classes carry no class-level sufficient criterion",),
@@ -778,12 +788,14 @@ def classify(space, index, paper_literal=False, *, tables=None):
         return _grass_class(space, index)
     if space.kind is SpaceKind.GRASS_ORTH:
         return _orthgrass_class(space, index)
+    if space.kind is SpaceKind.GRASS_SYMP:
+        return _sympgrass_class(space, index)
     analysis = _ClassAnalysis(space, index, tables)
     if space.kind is SpaceKind.FLAG_A:
         return _flag_class(analysis, paper_literal)
     if space.kind is SpaceKind.FLAG_ORTH:
         return _orthflag_class(analysis, paper_literal)
-    return _symp_class(analysis)
+    return _sympflag_class(analysis)
 
 
 def classify_space(space, indices, paper_literal=False):

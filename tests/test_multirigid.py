@@ -106,8 +106,7 @@ class TestLeadingTerm:
         sp, idx = parse_index("(4|1,2) @ OG(3,9)")
         report = multirigid.og_pushforward_leading(sp, idx)
         assert not report.admissible and report.violations == (1,)
-        ref = rigidity.classify(sp, idx).sub("a", 1).ref
-        assert multirigid.multirigid_subindex_og(sp, idx, ref) is False
+        assert multirigid.multirigid_class_og(sp, idx).sub("a", 1).rigid is False
 
     def test_no_b_part(self):
         sp, idx = parse_index("(1,2|) @ OG(2,7)")
@@ -143,16 +142,14 @@ class TestLeadingTerm:
 class TestMultirigidOG:
     def test_og27_class(self):
         sp, idx = parse_index("(1|1) @ OG(2,7)")
-        verdict = rigidity.classify(sp, idx)
-        a_ref, b_ref = verdict.sub("a", 1).ref, verdict.sub("b", 1).ref
-        assert multirigid.multirigid_subindex_og(sp, idx, a_ref) is True
-        assert multirigid.multirigid_subindex_og(sp, idx, b_ref) is True
-        assert multirigid.multirigid_class_og(sp, idx).class_rigid is True
+        verdict = multirigid.multirigid_class_og(sp, idx)
+        assert verdict.sub("a", 1).rigid is True
+        assert verdict.sub("b", 1).rigid is True
+        assert verdict.class_rigid is True
 
     def test_gap_violation(self):
         sp, idx = parse_index("(2|2) @ OG(2,7)")
-        a_ref = rigidity.classify(sp, idx).sub("a", 1).ref
-        assert multirigid.multirigid_subindex_og(sp, idx, a_ref) is False
+        assert multirigid.multirigid_class_og(sp, idx).sub("a", 1).rigid is False
 
     def test_essential_b_without_a_blocks_class(self):
         sp, idx = parse_index("(|0,2) @ OG(2,9)")

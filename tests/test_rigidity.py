@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+from itertools import combinations
 
 import pytest
 
-from schubrigid import cli, indices, rigidity
-from schubrigid.indices import enumerate_indices
+from schubrigid import cli, indices, projections, rigidity
+from schubrigid.indices import SpaceDescriptor, SpaceKind, enumerate_indices
 from schubrigid.parser import parse_index, parse_space
 
 
@@ -68,13 +69,14 @@ class TestEssentialFlag:
         # essential <=> essential in some push-forward (the defining property)
         for text in ("F(1,2;4)", "F(1,3;5)", "F(1,2,3;5)"):
             sp = parse_space(text)
+            tables = rigidity._SpaceTables(sp)
             for idx in enumerate_indices(sp):
                 closed = {ref.position for ref in rigidity.classify(sp, idx).essential_refs()}
-                analysis = rigidity._ClassAnalysis(sp, idx)
+                analysis = rigidity._ClassAnalysis(sp, idx, tables)
                 via_proj = {
                     ref.position
-                    for ref in analysis.refs.values()
-                    if analysis.first(analysis.essential_at, 1, ref) is not None
+                    for q, ref in enumerate(analysis.refs)
+                    if analysis.first(analysis.ess, 1, 1 << q) is not None
                 }
                 assert closed == via_proj
 
@@ -112,13 +114,13 @@ class TestRigidSubindexFlag:
     def test_clause_equals_projection_everywhere_small(self):
         for text in ("F(1,2;4)", "F(1,3;5)", "F(2,3;5)", "F(1,2,3;5)", "F(1,2;6)"):
             sp = parse_space(text)
+            tables = rigidity._SpaceTables(sp)
             for idx in enumerate_indices(sp):
                 verdict = rigidity.classify(sp, idx)
-                analysis = rigidity._ClassAnalysis(sp, idx)
+                analysis = rigidity._ClassAnalysis(sp, idx, tables)
                 for ref in verdict.essential_refs():
-                    levels = tuple(
-                        analysis.levels(analysis.rigid_at, 1, analysis.refs["a", ref.position])
-                    )
+                    # on type A, a_i is ref number i - 1
+                    levels = analysis.levels(analysis.rig, 1, 1 << (ref.position - 1))
                     assert verdict.sub("a", ref.position).rigid == bool(levels)
 
 
@@ -227,7 +229,7 @@ class TestOrthFlag:
     def test_implies_relation_chain(self):
         analysis = rigidity._ClassAnalysis(*parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)"))
         report = analysis.implies_relation()
-        a3, b3, b1 = (analysis.refs[key] for key in (("a", 1), ("b", 3), ("b", 2)))
+        a3, b3, b1 = (analysis.refs[q] for q in (0, 3, 2))  # a_1, b_3, b_2
         assert report.related(a3, b3)
         assert report.related(b3, b1)
         assert report.related(a3, b1)  # transitivity
@@ -237,7 +239,7 @@ class TestOrthFlag:
     def test_no_edge_into_from_half_minus_one(self):
         analysis = rigidity._ClassAnalysis(*parse_index("(|2^1,3^2) @ OF(1,2;8)"))
         report = analysis.implies_relation()
-        b2, b3 = analysis.refs["b", 1], analysis.refs["b", 2]
+        b2, b3 = analysis.refs  # b_1 and b_2: no a side
         # b_2 has value 3 = n/2 - 1: no propagation out of it
         assert not report.related(b3, b2)
 
@@ -287,10 +289,104 @@ class TestSymplectic:
         assert verdict.class_rigid is None
 
 
+def walk_levels(space, index):
+    """{t: (essential refs, rigid refs) in pi_t}, refs by (side, position),
+    by a direct walk: the image through the removal rule, its survivors keyed
+    by position, then the kind's essential core and clause test in the image."""
+    kind, n = space.kind, space.ambient
+    out = {}
+    for t in range(1, space.blocks + 1):
+        image = projections.remove_above(index, t)
+        target = projections.target_space(space, t)
+        lands = {}  # image key -> class key
+        for side, entries in (("a", index.a_entries()), ("b", index.b_entries())):
+            kept = [p for p, (_, block) in enumerate(entries, start=1) if block <= t]
+            lands.update(((side, i), (side, p)) for i, p in enumerate(kept, start=1))
+        if kind is SpaceKind.FLAG_A:
+            essential = {("a", i) for i in rigidity._gap_positions(image.a)}
+            rigid = {key for key in essential if rigidity._grass_rigid(image.a, key[1])}
+        elif kind is SpaceKind.FLAG_ORTH:
+            essential = rigidity._orth_essential(n, image)
+            rigid = {key for key in essential if rigidity._orth_rigid(target, image, key)}
+        else:
+            essential = rigidity._symp_essential(image)
+            rigid = {
+                key
+                for key in essential
+                if key[0] == "a" and rigidity._sg_sufficient(target, image, key[1])
+            }
+        out[t] = ({lands[key] for key in essential}, {lands[key] for key in rigid})
+    return out
+
+
+def oracle_spaces():
+    """Every F(d;n) with n <= 6 and <= 3 steps, and OF / SF spaces of both
+    parities, OF(1,3;6) under both components."""
+    for n in range(1, 7):
+        for size in range(1, 4):
+            for steps in combinations(range(1, n + 1), size):
+                yield SpaceDescriptor(SpaceKind.FLAG_A, steps, n)
+    for text in ("OF(1,2;5)", "OF(1,2;6)", "OF(1,3;7)", "OF(2,3;8)", "SF(1,2;6)", "SF(1,3;8)"):
+        yield parse_space(text)
+    for component in (True, False):
+        yield SpaceDescriptor(SpaceKind.FLAG_ORTH, (1, 3), 6, component)
+
+
+class TestLevelMaskOracle:
+    """The per-level masks and every ``first`` / ``levels`` answer that
+    ``classify`` reads, against ``walk_levels``."""
+
+    def test_masks_and_answers_match_the_walk(self, monkeypatch):
+        asked = []
+        for name in ("first", "levels"):
+            original = getattr(rigidity._ClassAnalysis, name)
+
+            def recorded(analysis, table, threshold, need, _original=original, _name=name):
+                answer = _original(analysis, table, threshold, need)
+                asked.append((_name, table is analysis.rig, threshold, need, answer))
+                return answer
+
+            monkeypatch.setattr(rigidity._ClassAnalysis, name, recorded)
+        built = []
+        original_init = rigidity._ClassAnalysis.__init__
+
+        def init(analysis, *args, **kwargs):
+            original_init(analysis, *args, **kwargs)
+            built.append(analysis)
+
+        monkeypatch.setattr(rigidity._ClassAnalysis, "__init__", init)
+        above_block = two_refs = 0
+        for space in oracle_spaces():
+            for idx in enumerate_indices(space):
+                walk = walk_levels(space, idx)
+                for literal in (False, True):
+                    asked.clear()
+                    built.clear()
+                    rigidity.classify(space, idx, literal)
+                    (analysis,) = built
+                    keys = [ref.key() for ref in analysis.refs]
+                    for t, (essential, rigid) in walk.items():
+                        assert analysis.ess[t] == sum(1 << keys.index(k) for k in essential)
+                        assert analysis.rig[t] == sum(1 << keys.index(k) for k in rigid)
+                    for name, on_rigid, threshold, need, answer in asked:
+                        refs = [keys[q] for q in range(len(keys)) if need >> q & 1]
+                        hits = tuple(
+                            t for t in range(threshold, space.blocks + 1)
+                            if all(key in walk[t][on_rigid] for key in refs)
+                        )
+                        want = hits if name == "levels" else (hits[0] if hits else None)
+                        assert answer == want, (str(space), str(idx), name, threshold, refs)
+                        block = max(analysis.refs[keys.index(key)].block for key in refs)
+                        above_block += threshold > block
+                        two_refs += len(refs) == 2
+        # the relations ask above a ref's own block, and compat asks b -> a on two refs
+        assert above_block and two_refs
+
+
 class TestOnePushForwardPerLevel:
     def test_each_level_pushed_forward_at_most_once(self, monkeypatch):
-        # counts the removal rule the analysis calls; every F/OF/SF class
-        # reads at least one level, so the test cannot pass on zero calls
+        # counts the removal rule the analysis calls: every F/OF/SF class
+        # pushes forward each level 1..blocks exactly once
         levels = []
         original = rigidity.remove_above
 
@@ -304,7 +400,7 @@ class TestOnePushForwardPerLevel:
             for idx in list(enumerate_indices(sp))[::40]:
                 levels.clear()
                 rigidity.classify(sp, idx)
-                assert 1 <= len(levels) == len(set(levels)) <= sp.blocks, (text, str(idx))
+                assert sorted(levels) == list(range(1, sp.blocks + 1)), (text, str(idx))
 
 
 class TestSharedSpaceTables:
@@ -324,6 +420,36 @@ class TestSharedSpaceTables:
             total = sum(1 for _ in rigidity.classify_space(sp, enumerate_indices(sp)))
             assert total == indices.class_count(sp)
             assert len(calls) <= sp.blocks, (text, len(calls))
+
+    @pytest.mark.parametrize(
+        "text, core, fills",
+        [
+            ("F(1,2,3,4;8)", "_gap_positions", 162),
+            ("OF(2,4;13)", "_orth_essential", 300),
+            ("SF(2,4;12)", "_symp_essential", 300),
+        ],
+    )
+    def test_masks_filled_once_per_image(self, monkeypatch, text, core, fills):
+        # a census runs the essential core once per distinct (t, image): for
+        # F(1,2,3,4;8) that is C(8,1) + C(8,2) + C(8,3) + C(8,4) images
+        sp = parse_space(text)
+        images = {
+            (t, image.a, image.b)
+            for idx in enumerate_indices(sp)
+            for t in range(1, sp.blocks + 1)
+            for image in [projections.remove_above(idx, t)]
+        }
+        calls = []
+        original = getattr(rigidity, core)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rigidity, core, counted)
+        total = sum(1 for _ in rigidity.classify_space(sp, enumerate_indices(sp)))
+        assert total == indices.class_count(sp)
+        assert len(calls) == len(images) == fills
 
     def test_grass_census_removes_nothing(self, monkeypatch):
         # G(k,n) has its own path: no flag view, no push-forward
