@@ -91,8 +91,8 @@ def check_removal_rule_pairing_sweep():
                 want = 1 if candidate == expected_dual else 0
                 _expect(
                     value == want,
-                    "pairing of pi_%d(%s) against %s gave %d, want %d"
-                    % (t, idx, candidate, value, want),
+                    "pairing of pi_%d(%s) against %s gave %d, want %d",
+                    t, idx, candidate, value, want,
                 )
                 checked += 1
     _expect(checked > 0, "no complementary pairing was checked")
@@ -114,7 +114,7 @@ def check_zero_product_oracle_sweep():
                     slow = not chow.lr_expand(lam, lambda_notation(space, idx_b), box)
                     _expect(
                         fast == slow,
-                        "zero-product mismatch for %s, %s in %s" % (idx_a, idx_b, space),
+                        "zero-product mismatch for %s, %s in %s", idx_a, idx_b, space,
                     )
                     checked += 1
     return "%d pairs checked" % checked
@@ -171,8 +171,8 @@ def check_lr_jacobi_trudi_sweep():
                 got = chow.lr_expand(lam, mu, box)
                 _expect(
                     got == want,
-                    "LR and Jacobi-Trudi differ for %s x %s in %s: %s vs %s"
-                    % (lam, mu, space.render(), got, want),
+                    "LR and Jacobi-Trudi differ for %s x %s in %s: %s vs %s",
+                    lam, mu, space, got, want,
                 )
                 checked += 1
     return "%d ordered pairs checked" % checked
@@ -241,8 +241,8 @@ def check_grass_equals_one_step_flag_sweep():
                         del payload["space"], payload["index"]
                     _expect(
                         got == want,
-                        "%s @ %s, paper_literal=%s: %s, but F(%d;%d) gives %s"
-                        % (idx, grass.render(), literal, got, k, n, want),
+                        "%s @ %s, paper_literal=%s: %s, but F(%d;%d) gives %s",
+                        idx, grass, literal, got, k, n, want,
                     )
                     checked += 1
     return "%d verdicts compared" % checked
@@ -319,7 +319,7 @@ def check_multirigid_implies_rigid_sweep():
                     if multi_rigid:
                         _expect(
                             verdict.sub("a", i).rigid,
-                            "multi-rigid but not rigid: a_%d of %s @ %s" % (i, idx, space),
+                            "multi-rigid but not rigid: a_%d of %s @ %s", i, idx, space,
                         )
                     checked += 1
     return "%d sub-indices checked, zero violations" % checked
@@ -335,12 +335,12 @@ def check_fiber_consistency_sweep():
             top = projections.fiber_class_top(space, idx)
             _expect(
                 projections.fiber_class_mid(space, idx, k) == top,
-                "fiber_class_mid(.,k) != fiber_class_top for %s @ %s" % (idx, space),
+                "fiber_class_mid(.,k) != fiber_class_top for %s @ %s", idx, space,
             )
             _expect(
                 projections.fiber_class_mid(space, idx, 1)
                 == projections.fiber_class_bottom(space, idx),
-                "fiber_class_mid(.,1) != fiber_class_bottom for %s @ %s" % (idx, space),
+                "fiber_class_mid(.,1) != fiber_class_bottom for %s @ %s", idx, space,
             )
             for t in range(1, k + 1):
                 image = projections.pushforward_flag(space, idx, t)
@@ -349,7 +349,7 @@ def check_fiber_consistency_sweep():
                 _expect(
                     dimension(space, idx)
                     == dimension(tgt, image) + dimension(space, fiber),
-                    "dimension additivity fails for %s @ %s at t=%d" % (idx, space, t),
+                    "dimension additivity fails for %s @ %s at t=%d", idx, space, t,
                 )
                 checked += 1
     return "%d (index, level) pairs checked" % checked
@@ -420,12 +420,12 @@ def check_leading_term_law():
             matching = [
                 (term, c) for term, c in cls.terms if term.a[: len(prefix)] == prefix
             ]
-            _expect(matching, "no term with prefix %s in %s" % (prefix, cls))
+            _expect(matching, "no term with prefix %s in %s", prefix, cls)
             term, coeff = max(matching, key=lambda item: item[0].a)
             _expect(
                 coeff == report.coefficient,
-                "leading coefficient of %s @ %s is %d, want %d"
-                % (idx, space, coeff, report.coefficient),
+                "leading coefficient of %s @ %s is %d, want %d",
+                idx, space, coeff, report.coefficient,
             )
             checked += 1
     return "%d leading terms checked" % checked
@@ -444,7 +444,7 @@ def check_expand_dimension_conservation():
             dims = {dimension(cls.space, term) for term, _ in cls.terms}
             _expect(
                 len(dims) == 1,
-                "mixed dimensions %s in push of %s @ %s" % (dims, idx, space),
+                "mixed dimensions %s in push of %s @ %s", dims, idx, space,
             )
             checked += 1
     return "%d expansions checked" % checked
@@ -461,8 +461,8 @@ def check_class_rigid_implies_subs_og():
                 if verdict.class_rigid:
                     _expect(
                         all(v.rigid for v in verdict.subs if v.essential),
-                        "class rigid but an essential sub-index is not: %s @ %s"
-                        % (idx, space),
+                        "class rigid but an essential sub-index is not: %s @ %s",
+                        idx, space,
                     )
                 checked += 1
     return "%d classes checked" % checked
@@ -477,11 +477,8 @@ def check_class_count_sweep():
     spaces = [*_spaces(others, 12, 3), *_spaces((SpaceKind.FLAG_A,), 8, 3)]
     for space in spaces:
         got = sum(1 for _ in enumerate_indices(space))
-        _expect(
-            got == class_count(space),
-            "%s enumerates %d classes, class_count says %d"
-            % (space, got, class_count(space)),
-        )
+        want = class_count(space)
+        _expect(got == want, "%s enumerates %d classes, class_count says %d", space, got, want)
     return "%d spaces checked" % len(spaces)
 
 

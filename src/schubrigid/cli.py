@@ -2,19 +2,25 @@
 
 Every command accepts --json for machine-readable output; diagnostics go to
 stderr.  Exit codes: 0 success, 1 invalid input (parse/validation), 2
-unsupported configuration (kind, degeneration, enumeration cap).
+unsupported configuration (kind, degeneration, enumeration cap) or usage
+(arguments the parser rejects).
+
+`main` builds the parser once per process, on its first call, and looks
+`cmd_<name>` up by name at call time, so a rebound `cmd_*` (a test's
+monkeypatch, `perfbench`'s tracer) is the one that runs.  Importing this
+module imports every engine module, which `perfbench/tracing.py` reads from
+`sys.modules`; only `checks`, `csv` and `datetime` load inside the commands
+that use them.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
-from datetime import datetime, timezone
 
-from . import __version__, chow, checks, multirigid, projections, restriction, rigidity
-from .errors import SchubertError, ValidationError
+from . import __version__, chow, multirigid, projections, restriction, rigidity
+from .errors import SchubertError, UsageError, ValidationError
 from .indices import (
     SpaceKind,
     dimension,
@@ -215,6 +221,9 @@ def cmd_expand(args):
 
 
 def cmd_census(args):
+    import csv
+    from datetime import datetime, timezone
+
     space = parse_space(args.space)
     rows = []
     counts = {"rigid": 0, "non_rigid": 0, "unknown": 0}
@@ -272,6 +281,8 @@ def cmd_census(args):
 
 
 def cmd_selftest(args):
+    from . import checks
+
     if not args.json:
         return 1 if checks.run_checks(scope=args.scope) else 0
     start = time.perf_counter()
@@ -295,8 +306,17 @@ def cmd_selftest(args):
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise `UsageError` instead of
+    printing and exiting; sub-parsers inherit the class."""
+
+    def error(self, message):
+        usage = "%s%s: error: %s\n" % (self.format_usage(), self.prog, message)
+        raise UsageError(message, usage)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="schubrigid",
         description="Rigidity and multi-rigidity of Schubert classes in classical flag varieties",
     )
@@ -305,6 +325,8 @@ def build_parser():
 
     def common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def paper_literal(p):
         p.add_argument(
             "--paper-literal",
             action="store_true",
@@ -314,58 +336,50 @@ def build_parser():
     p = sub.add_parser("validate", help="validate an index literal")
     p.add_argument("literal")
     common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("dim", help="dimension of a type-A Schubert class")
     p.add_argument("literal")
     common(p)
-    p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("dual", help="Poincare dual of a type-A index")
     p.add_argument("literal")
     common(p)
-    p.set_defaults(func=cmd_dual)
 
     p = sub.add_parser("push", help="push-forward along the t-th projection")
     p.add_argument("literal")
     p.add_argument("--t", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_push)
 
     p = sub.add_parser("fiber", help="generic fiber class of the t-th projection")
     p.add_argument("literal")
     p.add_argument("--t", type=int, required=True)
     common(p)
-    p.set_defaults(func=cmd_fiber)
 
     p = sub.add_parser("essential", help="essential sub-indices")
     p.add_argument("literal")
     common(p)
-    p.set_defaults(func=cmd_essential)
+    paper_literal(p)
 
     p = sub.add_parser("rigid", help="rigidity verdict")
     p.add_argument("literal")
     p.add_argument("--sub", help="restrict to one sub-index, e.g. a1 or b2")
     common(p)
-    p.set_defaults(func=cmd_rigid)
+    paper_literal(p)
 
     p = sub.add_parser("multirigid", help="multi-rigidity verdict")
     p.add_argument("literal")
     common(p)
-    p.set_defaults(func=cmd_multirigid)
 
     p = sub.add_parser("gamma", help="gamma invariant of an index family")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--space", required=True)
     p.add_argument("--term", action="append", required=True, help="coeff:index")
     common(p)
-    p.set_defaults(func=cmd_gamma)
 
     p = sub.add_parser("product", help="product of two Schubert classes in G(k,n)")
     p.add_argument("lhs")
     p.add_argument("rhs")
     common(p)
-    p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("expand", help="expand a restriction sequence")
     p.add_argument("literal")
@@ -373,34 +387,48 @@ def build_parser():
     p.add_argument("--to-grass", action="store_true", help="expand into G(k,n) classes")
     p.add_argument("--trace", action="store_true", help="emit the step log to stderr")
     common(p)
-    p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("census", help="classify every index of a space")
     p.add_argument("space")
     p.add_argument("--out", help="write the JSON report to a file")
     p.add_argument("--csv", help="write one CSV row per class")
     common(p)
-    p.set_defaults(func=cmd_census)
+    paper_literal(p)
 
     p = sub.add_parser("selftest", help="run the cross-check suite")
     p.add_argument("scope", nargs="?", default="quick", choices=("quick", "full"))
     common(p)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
+_parser = None  # built by the first `main` call
+
+
+def _fail(exc, as_json):
+    if as_json:
+        print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
+    elif isinstance(exc, UsageError):
+        sys.stderr.write(exc.usage)
+    else:
+        print("%s: %s" % (exc.kind, exc.message), file=sys.stderr)
+    return exc.exit_code
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        return args.func(args)
+        args = _parser.parse_args(argv)
+    except UsageError as exc:
+        # argparse accepts any unambiguous prefix of --json, as "--js"
+        return _fail(exc, any(len(a) > 2 and "--json".startswith(a) for a in argv))
+    try:
+        return globals()["cmd_" + args.command](args)
     except SchubertError as exc:
-        if getattr(args, "json", False):
-            print(json.dumps(exc.to_json(), sort_keys=True), file=sys.stderr)
-        else:
-            print("%s: %s" % (exc.kind, exc.message), file=sys.stderr)
-        return exc.exit_code
+        return _fail(exc, args.json)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by the library and the CLI.
 
 Exit-code contract: parse/validation problems exit 1, engine scope limits
-(unsupported kind, unsupported degeneration, enumeration cap) exit 2.
+(unsupported kind, unsupported degeneration, enumeration cap) exit 2, and so
+do usage errors (kind ``usage``: arguments the CLI parser rejects, such as a
+missing required option or an option the command does not take).
 """
 from __future__ import annotations
 
@@ -27,6 +29,18 @@ class SchubertError(Exception):
 class ParseError(SchubertError):
     kind = "parse"
     exit_code = 1
+
+
+class UsageError(SchubertError):
+    """Command-line arguments the parser rejected; ``usage`` holds the usage
+    and error lines argparse prints for them."""
+
+    kind = "usage"
+    exit_code = 2
+
+    def __init__(self, message, usage):
+        super().__init__(message)
+        self.usage = usage
 
 
 class ValidationError(SchubertError):

@@ -3,8 +3,12 @@ from __future__ import annotations
 
 import json
 import pathlib
+import subprocess
+import sys
 
-from schubrigid import checks
+import pytest
+
+from schubrigid import checks, cli
 from schubrigid.cli import main
 
 
@@ -157,6 +161,96 @@ class TestExitCodes:
         assert code == 2
         payload = json.loads(err)
         assert payload["kind"] == "unsupported-kind" and payload["message"]
+
+
+class TestUsageErrors:
+    def test_missing_option_json(self, capsys):
+        code, out, err = run(capsys, "push", "(1|0) @ OF(1;5)", "--json")
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload == {
+            "kind": "usage",
+            "message": "the following arguments are required: --t",
+        }
+
+    def test_missing_option_text_keeps_argparse_lines(self, capsys):
+        code, out, err = run(capsys, "push", "(1|0) @ OF(1;5)")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: schubrigid push ")
+        assert lines[-1] == "schubrigid push: error: the following arguments are required: --t"
+
+    @pytest.mark.parametrize("argv", [("bogus", "--json"), ("push", "1,3 @ G(2,4)", "--js")])
+    def test_json_usage_error(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err)["kind"] == "usage"
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_paper_literal_rejected_where_unread(self, capsys):
+        code, out, err = run(capsys, "dim", "1,3 @ G(2,4)", "--paper-literal", "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "usage"
+
+    @pytest.mark.parametrize("argv", [
+        ("essential", "1,3 @ G(2,4)"),
+        ("rigid", "1,3 @ G(2,4)"),
+        ("census", "G(2,4)"),
+    ])
+    def test_paper_literal_accepted_where_read(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--paper-literal", "--json")
+        assert code == 0 and err == ""
+
+
+class TestParserOnce:
+    def test_import_defers_only_checks_csv_datetime(self):
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import sys; sys.path.insert(0, %r); import json, schubrigid.cli; "
+            "print(json.dumps(sorted(sys.modules)))" % src
+        )
+        loaded = set(json.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        ).stdout))
+        for name in ("chow", "indices", "multirigid", "parser", "projections", "restriction", "rigidity"):
+            assert "schubrigid." + name in loaded
+        assert not {"schubrigid.checks", "csv", "datetime"} & loaded
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        for _ in range(3):
+            assert run(capsys, "dim", "1,3 @ G(2,4)")[0] == 0
+        assert len(builds) == 1
+
+    def test_commands_dispatch_by_name_at_call_time(self, capsys, monkeypatch):
+        assert run(capsys, "dim", "1,3 @ G(2,4)")[:2] == (0, "1\n")
+        monkeypatch.setattr(cli, "cmd_dim", lambda args: 7)
+        assert run(capsys, "dim", "1,3 @ G(2,4)")[:2] == (7, "")
+
+    def test_no_state_between_calls(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "rigid", "1,3 @ G(2,4)", "--sub", "a1", "--json")
+        assert code == 0 and "class_rigid" not in json.loads(out)
+        code, out, _ = run(capsys, "rigid", "1,3 @ G(2,4)", "--json")
+        assert code == 0 and json.loads(out)["class_rigid"] is True
+        terms = []
+        monkeypatch.setattr(cli, "cmd_gamma", lambda args: terms.append(args.term) or 0)
+        run(capsys, "gamma", "--i", "2", "--space", "G(3,9)", "--term", "1:1,2,8")
+        run(capsys, "gamma", "--i", "2", "--space", "G(3,9)", "--term", "1:2,3,8")
+        assert terms == [["1:1,2,8"], ["1:2,3,8"]]
 
 
 class TestProductOutput:
