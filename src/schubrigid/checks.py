@@ -65,7 +65,7 @@ def check_pushforward_examples():
         "pi_1 of 2^1,4^2 should be (2)",
     )
     space, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-    image = projections.pushforward_pair_flag(space, idx, 1)
+    image = projections.pushforward_flag(space, idx, 1)
     _expect(
         image.a == () and image.b == (1, 3),
         "pi_1 of 3^2;3^1,1^1,0^2 should be (;1,3), got %s" % image,

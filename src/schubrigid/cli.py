@@ -25,7 +25,6 @@ from .indices import (
     SpaceKind,
     dimension,
     dual,
-    enumerate_indices,
     index_to_json,
     render_literal,
 )
@@ -40,10 +39,13 @@ def _print(args, payload, human):
 
 
 def _parse_sub(raw):
-    side = raw[:1]
-    if side not in ("a", "b") or not raw[1:].isdigit():
-        raise ValidationError(["--sub expects a ref like a1 or b2"])
-    return side, int(raw[1:])
+    side, digits = raw[:1], raw[1:]
+    if side in ("a", "b") and digits.isascii() and digits.isdigit():
+        try:
+            return side, int(digits)
+        except ValueError:  # past the interpreter's int-string digit limit
+            pass
+    raise ValidationError(["--sub expects a ref like a1 or b2"])
 
 
 def cmd_validate(args):
@@ -79,10 +81,7 @@ def cmd_dual(args):
 def cmd_push(args):
     space, index = parse_index(args.literal)
     t = args.t
-    if space.kind is SpaceKind.FLAG_A:
-        result = projections.pushforward_flag(space, index, t)
-    else:
-        result = projections.pushforward_pair_flag(space, index, t)
+    result = projections.pushforward_flag(space, index, t)
     target = projections.target_space(space, t)
     payload = {
         "source": {"space": space.render(), "index": index.to_json()},
@@ -227,8 +226,7 @@ def cmd_census(args):
     space = parse_space(args.space)
     rows = []
     counts = {"rigid": 0, "non_rigid": 0, "unknown": 0}
-    verdicts = rigidity.classify_space(space, enumerate_indices(space), args.paper_literal)
-    for verdict in verdicts:
+    for verdict in rigidity.classify_space(space, args.paper_literal):
         if verdict.class_rigid is True:
             bucket = "rigid"
         elif verdict.class_rigid is False:

@@ -12,10 +12,12 @@ and their symplectic analogues SG/SF.  Indices come in four shapes:
 b-sequences are always stored ascending.  Everything here is immutable and
 pure; callers may share objects freely across threads.
 
-``validate`` checks an index once, at the public entry points; code behind
-them trusts its input.  ``enumerate_indices`` yields valid indices by
-construction and ``class_count`` is their exact number; all three read the
-n = 2 d_k parity rule from ``_component_parity``.
+``validate`` checks an index once, where it enters: at the public entry
+points, such as ``parser.parse_index`` and ``rigidity.classify``.  Code
+behind them trusts its input.  ``enumerate_indices`` yields valid indices by
+construction, so what reads its output validates nothing
+(``rigidity.classify_space``), and ``class_count`` is their exact number.
+All three read the n = 2 d_k parity rule from ``_component_parity``.
 """
 from __future__ import annotations
 

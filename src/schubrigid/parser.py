@@ -17,7 +17,7 @@ offending position; the validation errors name the violated invariant.
 """
 from __future__ import annotations
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError
 from .indices import (
     SchubertIndex,
     SpaceDescriptor,
@@ -26,6 +26,7 @@ from .indices import (
 )
 
 _KINDS = {kind.value: kind for kind in SpaceKind}
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²" and "٤"
 
 
 class _Scanner:
@@ -57,11 +58,14 @@ class _Scanner:
     def nat(self):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", location=start)
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # past the interpreter's int-string digit limit
+            raise ParseError("number too long", location=start) from None
 
     def word(self):
         self.skip_ws()
@@ -127,7 +131,7 @@ def _entry_seq(scanner, stop_chars):
     return entries
 
 
-def _canonicalize_b(entries, scanner):
+def _canonicalize_b(entries):
     values = [v for v, _ in entries]
     if len(values) >= 2 and all(x > y for x, y in zip(values, values[1:])):
         entries = list(reversed(entries))
@@ -169,7 +173,7 @@ def parse_index(text):
         scanner.expect("|")
         b_entries = _entry_seq(scanner, ")")
         scanner.expect(")")
-        b_entries = _canonicalize_b(b_entries, scanner)
+        b_entries = _canonicalize_b(b_entries)
         index = _build_index(a_entries, b_entries, paired=True)
     else:
         a_entries = _entry_seq(scanner, "@")
@@ -229,8 +233,6 @@ def parse_sequence(text):
         scanner.skip_ws()
         if scanner.pos < len(scanner.text):
             raise ParseError("trailing input after space", location=scanner.pos)
-    if space.kind is not SpaceKind.GRASS_ORTH:
-        raise ValidationError(["restriction sequences live in OG(k,n) spaces"])
     ladder.sort(key=lambda q: -q[0])
     return RestrictionSequence(
         space=space, isotropic=tuple(isotropic), ladder=tuple(ladder)

@@ -47,18 +47,11 @@ def target_space(space, t):
 
 
 def pushforward_flag(space, index, t):
-    """Removal rule for type-A flags: keep the a_i with alpha_i <= t."""
-    if space.kind is not SpaceKind.FLAG_A:
-        raise UnsupportedKindError("pushforward_flag needs a FlaggedA index")
-    check_valid(space, index)
-    # target_space checks the level before the rule runs
-    return check_valid(target_space(space, t), remove_above(index, t))
-
-
-def pushforward_pair_flag(space, index, t):
-    """Removal rule for orthogonal (and, unverified by oracle, symplectic) flags."""
-    if space.kind not in (SpaceKind.FLAG_ORTH, SpaceKind.FLAG_SYMP):
-        raise UnsupportedKindError("pushforward_pair_flag needs an OF or SF index")
+    """The image under pi_t of an F, OF or SF class, by the removal rule:
+    keep the entries whose block label is at most t.  On SF the rule is
+    unverified by oracle."""
+    if not space.kind.is_flag:
+        raise UnsupportedKindError("pushforward_flag needs an F, OF or SF index")
     check_valid(space, index)
     # target_space checks the level before the rule runs
     return check_valid(target_space(space, t), remove_above(index, t))

@@ -359,8 +359,9 @@ def expand(seq):
 
 
 def og_to_grass(space, index):
-    """Full type-A expansion of the push-forward of an OG class into G(k,n)."""
-    check_valid(space, index)
+    """Full type-A expansion of the push-forward of an OG class into G(k,n).
+
+    ``schubert_to_sequence`` validates the index before anything else runs."""
     seq = schubert_to_sequence(space, index)
     terminals, trace = _run(space, seq, og_mode=False)
     target = SpaceDescriptor(

@@ -26,8 +26,8 @@ witness level 1, and the relation is the chain of essential entries.  Its
 refs carry block 1, the label F(k;n) would give them.
 
 Every flag verdict reads one per-class analysis (``_ClassAnalysis``).  It
-validates the index once, numbers its refs 0..m-1 and takes the image under
-each pi_t once.  What depends only on the image -- the target space of each
+numbers the refs of the index 0..m-1 and takes the image under each pi_t
+once.  What depends only on the image -- the target space of each
 level and one (essential, rigid) pair of bitmasks over the image's entries
 -- lives in ``_SpaceTables``, keyed by the tuple (t, image.a, image.b),
 because the classes of one space keep meeting the same few images.  The
@@ -35,15 +35,15 @@ analysis maps each level's masks onto its own ref bits, so every question
 "first level t >= threshold where these refs are essential / rigid" -- first
 essential level, first common essential level, rigid levels, the SF a_i = i
 test -- is a loop over ints, and a relation closes by Warshall over bit
-rows.  ``classify`` is the one verdict path: a single call builds its own
-tables, and ``classify_space`` shares one set across the classes of a
-census.  Nothing outlives the call that built it.  Read a sub-index verdict
-with ``RigidityVerdict.sub`` and the relation with ``.relation``.
+rows.  ``_verdict`` is the one verdict path: ``classify`` builds tables for
+one class, and ``classify_space`` shares one set across a census.  Nothing
+outlives the call that built it.  Read a sub-index verdict with
+``RigidityVerdict.sub`` and the relation with ``.relation``.
 
 ``classify`` and ``essential_grass`` validate their index once, where it
-enters; what runs behind them -- ``remove_above``, the essential cores
-``_gap_positions`` / ``_orth_essential`` / ``_symp_essential`` and the
-clause tests -- trusts it.
+enters; ``classify_space`` reads ``enumerate_indices``, valid by
+construction, and validates nothing.  What runs behind them -- ``_verdict``,
+``remove_above``, the essential cores and the clause tests -- trusts it.
 """
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import inf
 
 from .errors import ValidationError
-from .indices import SchubertIndex, SpaceDescriptor, SpaceKind, check_valid
+from .indices import SchubertIndex, SpaceDescriptor, SpaceKind, check_valid, enumerate_indices
 from .projections import remove_above, target_space
 
 
@@ -285,8 +285,8 @@ class _SpaceTables:
     s + q - 1 for b_q.  Rigid means essential and rigid in the image (on SF:
     a_i = i suffices there).  A pair is filled once per distinct image, from
     the essential cores and the clause tests.  The tables hold nothing of any
-    one class.  A census builds one for its space and passes it to every
-    ``classify`` call (``classify_space``); every other call builds its own.
+    one class.  A census builds one for its space and reads it for every
+    class (``classify_space``); a ``classify`` call builds its own.
     """
 
     def __init__(self, space):
@@ -332,25 +332,22 @@ class _SpaceTables:
 class _ClassAnalysis:
     """What the verdicts on one flag class read, each fact computed once.
 
-    The index is validated here, once, and its refs are numbered 0..m-1 in
-    ``make_refs`` order (a side, then b side); everything after that runs
-    unchecked cores.  For each level t = 1..blocks the image under pi_t
-    (``remove_above``, the one removal rule) is taken once, its masks are
-    read from ``tables``, the space's ``_SpaceTables``, and mapped onto the
-    class's bits through the refs that survive at t: ``ess[t]`` and
+    The index is trusted, and its refs are numbered 0..m-1 in ``make_refs``
+    order (a side, then b side).  For each level t = 1..blocks the image
+    under pi_t (``remove_above``, the one removal rule) is taken once, its
+    masks are read from ``tables``, the space's ``_SpaceTables``, and mapped
+    onto the class's bits through the refs that survive at t: ``ess[t]`` and
     ``rig[t]`` have bit q when ref q is essential, resp. essential and rigid,
     in that image; ``essential`` lists the essential ref numbers.  Every
     question "first level t >= threshold where all these refs are essential /
     rigid" is a loop over those masks; a ref's bit is clear below its own
     block, so the threshold needs no max with it.  A census passes one
-    ``tables`` shared by every class of the space, any other call gets its
-    own.  An analysis lives for one class.
+    ``tables`` shared by every class of the space.  An analysis lives for
+    one class.
     """
 
-    def __init__(self, space, index, tables=None):
-        check_valid(space, index)
+    def __init__(self, space, index, tables):
         self.space, self.index = space, index
-        tables = _SpaceTables(space) if tables is None else tables
         self.refs = make_refs(index)
         self.blocks = space.blocks
         self.ess, self.rig = [0], [0]  # level 0 is never read
@@ -556,10 +553,9 @@ def _flag_class(analysis, paper_literal):
 
 
 def _grass_subs(space, index):
-    """Sub-index verdicts of a G(k,n) class, validated once: the gap positions
-    are essential, the four-clause test decides rigidity, witnessed at level 1.
+    """Sub-index verdicts of a valid G(k,n) class: the gap positions are
+    essential, the four-clause test decides rigidity, witnessed at level 1.
     Refs carry block 1, as F(k;n) labels them."""
-    check_valid(space, index)
     essential = _gap_positions(index.a)
     subs = []
     for i, value in enumerate(index.a, start=1):
@@ -645,7 +641,6 @@ def _orth_rigid(space, index, key):
 
 def _orthgrass_class(space, index):
     """Largest-essential-b criterion plus the no-bad-gap condition."""
-    check_valid(space, index)
     keys = _orth_essential(space.ambient, index)
     subs = tuple(
         SubIndexVerdict(ref, True, _orth_rigid(space, index, ref.key()))
@@ -734,7 +729,6 @@ def _is_rigid_family(space, index):
 
 
 def _sympgrass_class(space, index):
-    check_valid(space, index)
     keys = _symp_essential(index)
     family = _is_rigid_family(space, index)
     subs = []
@@ -778,12 +772,24 @@ def _sympflag_class(analysis):
 # dispatch
 
 
-def classify(space, index, paper_literal=False, *, tables=None):
-    """Whole-class verdict for any supported kind.
+def classify(space, index, paper_literal=False):
+    """Whole-class verdict for any supported kind; the index is validated here."""
+    check_valid(space, index)
+    return _verdict(space, index, paper_literal, _SpaceTables(space))
 
-    ``tables``, when given, is the ``_SpaceTables`` of ``space`` that the
-    other classes of a census share (see ``classify_space``).
-    """
+
+def classify_space(space, paper_literal=False):
+    """Yield the verdict of every class of ``space``, in ``enumerate_indices``
+    order.  The classes are valid by construction and none is validated.  One
+    ``_SpaceTables`` serves them all and goes when the generator does; the
+    enumeration cap is checked when the first verdict is asked for."""
+    tables = _SpaceTables(space)
+    for index in enumerate_indices(space):
+        yield _verdict(space, index, paper_literal, tables)
+
+
+def _verdict(space, index, paper_literal, tables):
+    """The class verdict of a valid index; ``tables`` is the space's ``_SpaceTables``."""
     if space.kind is SpaceKind.GRASS_A:
         return _grass_class(space, index)
     if space.kind is SpaceKind.GRASS_ORTH:
@@ -796,15 +802,3 @@ def classify(space, index, paper_literal=False, *, tables=None):
     if space.kind is SpaceKind.FLAG_ORTH:
         return _orthflag_class(analysis, paper_literal)
     return _sympflag_class(analysis)
-
-
-def classify_space(space, indices, paper_literal=False):
-    """``classify`` each index of ``space`` in turn, yielding the verdicts.
-
-    Every call reads one ``_SpaceTables``, so an image met by many classes
-    has its essential set and rigidity computed once per census; the tables
-    go when the generator does.
-    """
-    tables = _SpaceTables(space)
-    for index in indices:
-        yield classify(space, index, paper_literal, tables=tables)

@@ -162,6 +162,40 @@ class TestExitCodes:
         payload = json.loads(err)
         assert payload["kind"] == "unsupported-kind" and payload["message"]
 
+    @pytest.mark.parametrize(
+        "argv, location",
+        [
+            (("dim", "\u00b2,3 @ G(2,4)"), 0),
+            (("expand", "F:\u00b2 | Q:6^0 @ OG(2,7)"), 2),
+            (("validate", "1,3 @ G(2,\u0664)"), 10),
+            (("dim", "9" * 5000 + " @ G(1,2)"), 0),
+            (("census", "G(1,%s)" % ("9" * 5000)), 4),
+        ],
+        ids=["superscript", "superscript-in-sequence", "arabic-indic", "long-index", "long-space"],
+    )
+    def test_non_ascii_digits_and_overlong_numbers_are_parse_errors(self, capsys, argv, location):
+        # ASCII 0-9 only, and no number past the interpreter's int-string limit
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert (payload["kind"], payload["location"]) == ("parse", location)
+
+    @pytest.mark.parametrize("ref", ["a\u00b2", "a" + "9" * 5000], ids=["superscript", "long"])
+    def test_bad_sub_ref_is_validation(self, capsys, ref):
+        code, out, err = run(capsys, "rigid", "1,3 @ G(2,4)", "--sub", ref, "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "validation"
+
+    def test_push_from_a_grassmannian_is_unsupported_kind(self, capsys):
+        code, out, err = run(capsys, "push", "1,3 @ G(2,4)", "--t", "1", "--json")
+        assert code == 2 and out == ""
+        assert json.loads(err)["kind"] == "unsupported-kind"
+
+    def test_sequence_outside_og_is_validation(self, capsys):
+        code, out, err = run(capsys, "expand", "F:2 | Q:6^0 @ G(2,7)", "--json")
+        assert code == 1 and out == ""
+        assert json.loads(err)["kind"] == "validation"
+
 
 class TestUsageErrors:
     def test_missing_option_json(self, capsys):

@@ -1,14 +1,19 @@
 """Index shapes: parsing, validation, dimension, duality, rank tables, enumeration."""
 from __future__ import annotations
 
+import itertools
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import count_flag_schubert_points, dim_by_rank_conditions
+from schubrigid import checks
 from schubrigid.errors import (
     EnumerationCapError,
     ParseError,
+    SchubertError,
     UnsupportedKindError,
     ValidationError,
 )
@@ -29,7 +34,18 @@ from schubrigid.indices import (
     render_literal,
     validate,
 )
-from schubrigid.parser import parse_index, parse_space
+from schubrigid.parser import parse_index, parse_sequence, parse_space
+
+CENSUS_SPACES = ("SG(6,14)", "G(6,14)", "F(1,2,3,4;8)", "OG(7,17)", "OF(2,4;13)", "SF(2,4;12)")
+
+# the literal grammar's characters and words, digits, letters and spaces that
+# str.isdigit / isalpha / isspace accept outside ASCII, and one number past
+# the interpreter's int-string digit limit
+LITERAL_TOKENS = tuple("0123456789GFOSQ()|,;^@: ") + (
+    "OG", "OF", "SG", "SF", "F:", "Q:", " @ ",
+    "\u00b2", "\u0664", "\u0967", "\u00e9", "\u03a9", "\u00a0", "\u2003",
+    "9" * 4301,
+)
 
 
 def space(text):
@@ -95,6 +111,15 @@ class TestParsing:
             sp = space(text)
             for idx in enumerate_indices(sp):
                 assert parse_index(render_literal(sp, idx)) == (sp, idx)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(LITERAL_TOKENS), max_size=24).map("".join))
+    def test_any_text_parses_or_raises_schubert_error(self, text):
+        for parse in (parse_index, parse_space, parse_sequence):
+            try:
+                parse(text)
+            except SchubertError:
+                pass
 
 
 class TestValidation:
@@ -317,7 +342,11 @@ class TestEnumeration:
         assert time.perf_counter() - start < 0.5
 
     def test_all_enumerated_valid(self):
-        for text in ("OG(2,8)", "OF(1,2;6)", "SG(2,6)", "SF(1,2;6)", "F(1,3;5)"):
-            sp = space(text)
+        # the census classifies what the enumerator yields without validating
+        # it: every space with n <= 7 and <= 3 steps, both components when
+        # n = 2 d_k, then the perfbench census spaces and OG(2,8)
+        small = checks._spaces(tuple(SpaceKind), max_n=7, max_steps=3)
+        larger = map(space, CENSUS_SPACES + ("OG(2,8)",))
+        for sp in itertools.chain(small, larger):
             for idx in enumerate_indices(sp):
-                assert validate(sp, idx) == []
+                assert validate(sp, idx) == [], (str(sp), str(idx))

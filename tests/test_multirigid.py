@@ -49,8 +49,8 @@ class TestMultirigidGrass:
         for n in range(2, 11):
             for k in range(1, min(4, n - 1) + 1):
                 sp = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
-                indices = list(enumerate_indices(sp))
-                for idx, verdict in zip(indices, rigidity.classify_space(sp, indices)):
+                for verdict in rigidity.classify_space(sp):
+                    idx = verdict.index
                     for i in rigidity.essential_grass(sp, idx):
                         if multirigid.multirigid_subindex_grass(sp, idx, i):
                             assert verdict.sub("a", i).rigid

@@ -47,23 +47,23 @@ class TestPushforwardFlag:
 class TestPushforwardOrthFlag:
     def test_of_example(self):
         sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
-        image = projections.pushforward_pair_flag(sp, idx, 1)
+        image = projections.pushforward_flag(sp, idx, 1)
         assert image.a == () and image.b == (1, 3)
 
     def test_point_image(self):
         sp, idx = parse_index("(1^1|1^2) @ OF(1,2;5)")
-        image = projections.pushforward_pair_flag(sp, idx, 1)
+        image = projections.pushforward_flag(sp, idx, 1)
         assert image.a == (1,) and image.b == ()
 
     def test_identity_at_top(self):
         sp = parse_space("OF(1,2;6)")
         for idx in enumerate_indices(sp):
-            image = projections.pushforward_pair_flag(sp, idx, 2)
+            image = projections.pushforward_flag(sp, idx, 2)
             assert image.a == idx.a and image.b == idx.b
 
     def test_symp_removal_rule(self):
         sp, idx = parse_index("(1^1|1^2) @ SF(1,2;6)")
-        image = projections.pushforward_pair_flag(sp, idx, 1)
+        image = projections.pushforward_flag(sp, idx, 1)
         assert image.a == (1,) and image.b == ()
 
     def test_component_choice_propagates_to_maximal_target(self):
@@ -71,7 +71,7 @@ class TestPushforwardOrthFlag:
 
         sp = SpaceDescriptor(SpaceKind.FLAG_ORTH, (1, 2), 4, component_choice=False)
         idx = flagged_pair_index([(1, 1)], [(1, 2)])
-        image = projections.pushforward_pair_flag(sp, idx, 2)
+        image = projections.pushforward_flag(sp, idx, 2)
         assert image.a == (1,) and image.b == (1,)
 
 

@@ -227,7 +227,8 @@ class TestRigidOrthGrass:
 
 class TestOrthFlag:
     def test_implies_relation_chain(self):
-        analysis = rigidity._ClassAnalysis(*parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)"))
+        sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
+        analysis = rigidity._ClassAnalysis(sp, idx, rigidity._SpaceTables(sp))
         report = analysis.implies_relation()
         a3, b3, b1 = (analysis.refs[q] for q in (0, 3, 2))  # a_1, b_3, b_2
         assert report.related(a3, b3)
@@ -237,7 +238,8 @@ class TestOrthFlag:
             assert report.related(e, e)  # reflexivity
 
     def test_no_edge_into_from_half_minus_one(self):
-        analysis = rigidity._ClassAnalysis(*parse_index("(|2^1,3^2) @ OF(1,2;8)"))
+        sp, idx = parse_index("(|2^1,3^2) @ OF(1,2;8)")
+        analysis = rigidity._ClassAnalysis(sp, idx, rigidity._SpaceTables(sp))
         report = analysis.implies_relation()
         b2, b3 = analysis.refs  # b_1 and b_2: no a side
         # b_2 has value 3 = n/2 - 1: no propagation out of it
@@ -417,7 +419,7 @@ class TestSharedSpaceTables:
         for text in ("F(1,2,3,4;8)", "OF(2,4;13)", "SF(2,4;12)"):
             sp = parse_space(text)
             calls.clear()
-            total = sum(1 for _ in rigidity.classify_space(sp, enumerate_indices(sp)))
+            total = sum(1 for _ in rigidity.classify_space(sp))
             assert total == indices.class_count(sp)
             assert len(calls) <= sp.blocks, (text, len(calls))
 
@@ -447,7 +449,7 @@ class TestSharedSpaceTables:
             return original(*args)
 
         monkeypatch.setattr(rigidity, core, counted)
-        total = sum(1 for _ in rigidity.classify_space(sp, enumerate_indices(sp)))
+        total = sum(1 for _ in rigidity.classify_space(sp))
         assert total == indices.class_count(sp)
         assert len(calls) == len(images) == fills
 
@@ -456,7 +458,7 @@ class TestSharedSpaceTables:
         calls = []
         monkeypatch.setattr(rigidity, "remove_above", lambda *args: calls.append(args))
         sp = parse_space("G(6,14)")
-        verdicts = list(rigidity.classify_space(sp, enumerate_indices(sp)))
+        verdicts = list(rigidity.classify_space(sp))
         assert len(verdicts) == 3003 and calls == []
 
 
@@ -484,6 +486,13 @@ class TestValidateOncePerClass:
                 calls.clear()
                 rigidity.classify(sp, idx)
                 assert len(calls) == 1, (text, str(idx))
+
+    def test_census_validates_nothing(self, calls):
+        # classify_space reads enumerated classes, valid by construction
+        for text in self.CENSUS_SPACES:
+            sp = parse_space(text)
+            assert sum(1 for _ in rigidity.classify_space(sp)) == indices.class_count(sp)
+        assert calls == []
 
     def test_multirigid_on_grass_validates_once_per_call(self, calls, capsys):
         # one validation parsing the literal, one where multirigid reads it
@@ -522,10 +531,7 @@ def shared_verdict_lines():
     per space and reading, interleaved in the same order."""
     for text in GOLDEN_SPACES:
         sp = parse_space(text)
-        passes = [
-            rigidity.classify_space(sp, enumerate_indices(sp), literal)
-            for literal in (False, True)
-        ]
+        passes = [rigidity.classify_space(sp, literal) for literal in (False, True)]
         for pair in zip(*passes):
             for verdict in pair:
                 yield json.dumps(verdict.to_json()) + "\n"
