@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 from . import chow, multirigid, projections, restriction, rigidity
 from .errors import UnsupportedDegenerationError, ValidationError
 from .indices import (
+    ChowClass,
     SpaceDescriptor,
     SpaceKind,
     class_count,
@@ -20,6 +21,7 @@ from .indices import (
     dual,
     enumerate_indices,
     flagged_index,
+    index_from_lambda,
     lambda_notation,
     pair_index,
     plain_index,
@@ -450,6 +452,24 @@ def check_expand_dimension_conservation():
     return "%d expansions checked" % checked
 
 
+def check_og_fundamental_chern_class():
+    """Push of the fundamental class (|0,...,k-1) of OG(k,n) is [OG(k,n)] in
+    G(k,n) = c_top(Sym^2 S^dual) = 2^k sigma_(k,k-1,...,1) (Fulton, Intersection
+    Theory, ch. 14): an oracle independent of the degeneration machine."""
+    checked = 0
+    for n in range(3, 22):
+        for k in range(1, n // 2 + 1):
+            if n == 2 * k:
+                continue
+            space = SpaceDescriptor(SpaceKind.GRASS_ORTH, (k,), n)
+            cls, _ = restriction.og_to_grass(space, pair_index((), tuple(range(k))))
+            target = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+            want = ChowClass.single(target, index_from_lambda(target, range(k, 0, -1)), 2**k)
+            _expect(cls == want, "push of [OG(%d,%d)] is %s, want %s", k, n, cls, want)
+            checked += 1
+    return "%d fundamental classes checked" % checked
+
+
 def check_class_rigid_implies_subs_og():
     """Class-rigid OG classes have every essential sub-index rigid (k<=3, n<=9)."""
     checked = 0
@@ -502,6 +522,7 @@ FULL_CHECKS = QUICK_CHECKS + (
     ("fiber consistency sweep", check_fiber_consistency_sweep),
     ("leading term law", check_leading_term_law),
     ("expansion dimension conservation", check_expand_dimension_conservation),
+    ("OG fundamental class Chern oracle", check_og_fundamental_chern_class),
     ("OG class verdict implies sub-index verdicts", check_class_rigid_implies_subs_og),
     ("class count sweep", check_class_count_sweep),
 )

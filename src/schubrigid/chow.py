@@ -43,12 +43,6 @@ def is_zero_product(space, idx_a, idx_b):
     return _vanishes(space, idx_a, idx_b)
 
 
-def lr_coefficient(lam, mu, nu):
-    """Littlewood-Richardson coefficient c^nu_{lam,mu}: one entry of ``lr_expand``."""
-    nu = _strip(nu)
-    return lr_expand(lam, mu, nu).get(nu, 0)
-
-
 def _strip(partition):
     out = list(partition)
     while out and out[-1] == 0:

@@ -20,7 +20,13 @@ import sys
 import time
 
 from . import __version__, chow, multirigid, projections, restriction, rigidity
-from .errors import SchubertError, UsageError, ValidationError
+from .errors import (
+    CoefficientOverflowError,
+    SchubertError,
+    UnsupportedDegenerationError,
+    UsageError,
+    ValidationError,
+)
 from .indices import (
     SpaceKind,
     dimension,
@@ -32,10 +38,11 @@ from .parser import parse_index, parse_sequence, parse_space
 
 
 def _print(args, payload, human):
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(human)
+    try:
+        text = json.dumps(payload, sort_keys=True) if args.json else str(human)
+    except ValueError:  # an int past the interpreter's int-string limit
+        raise CoefficientOverflowError("result too large to render") from None
+    print(text)
 
 
 def _parse_sub(raw):
@@ -63,7 +70,7 @@ def cmd_validate(args):
 def cmd_dim(args):
     space, index = parse_index(args.literal)
     value = dimension(space, index)
-    _print(args, {"dimension": value}, str(value))
+    _print(args, {"dimension": value}, value)
     return 0
 
 
@@ -202,19 +209,23 @@ def cmd_product(args):
 
 
 def cmd_expand(args):
-    if args.from_schubert or args.to_grass:
-        space, index = parse_index(args.literal)
-        if args.to_grass:
-            cls, trace = restriction.og_to_grass(space, index)
+    trace = None
+    try:
+        if not (args.from_schubert or args.to_grass):
+            cls, trace = restriction.expand(parse_sequence(args.literal))
+        elif args.to_grass:
+            cls, trace = restriction.og_to_grass(*parse_index(args.literal))
         else:
-            seq = restriction.schubert_to_sequence(space, index)
+            seq = restriction.schubert_to_sequence(*parse_index(args.literal))
             cls, trace = restriction.expand(seq)
-    else:
-        seq = parse_sequence(args.literal)
-        cls, trace = restriction.expand(seq)
-    if args.trace:
-        for line in trace.to_json_lines():
-            print(line, file=sys.stderr)
+    except UnsupportedDegenerationError as exc:
+        trace = exc.partial_trace
+        raise
+    finally:
+        # an unsupported state's steps up to it print before the error line
+        if args.trace and trace is not None:
+            for line in trace.to_json_lines():
+                print(line, file=sys.stderr)
     _print(args, cls.to_json(), cls.render())
     return 0
 

@@ -72,10 +72,7 @@ class UnsupportedKindError(SchubertError):
 class UnsupportedDegenerationError(SchubertError):
     kind = "unsupported-degeneration"
     exit_code = 2
-
-    def __init__(self, message, partial_trace=None):
-        super().__init__(message)
-        self.partial_trace = partial_trace
+    partial_trace = None  # the degeneration machine's trace up to the error
 
 
 class EnumerationCapError(SchubertError):

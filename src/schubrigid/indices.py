@@ -136,15 +136,6 @@ class SpaceDescriptor:
             prev = d
         return tuple(sizes)
 
-    def flag_dimension(self):
-        """Dimension of the ambient type-A variety (G or F)."""
-        if not self.kind.is_type_a:
-            raise UnsupportedKindError(
-                "no dimension formula implemented for %s spaces" % self.kind.value
-            )
-        dims = self.steps + (self.ambient,)
-        return sum(dims[i] * (dims[i + 1] - dims[i]) for i in range(len(self.steps)))
-
     def render(self):
         if self.kind.is_flag:
             return "%s(%s;%d)" % (
@@ -547,10 +538,23 @@ def enumerate_indices(space, cap=None):
         cap = enumeration_cap()
     count = class_count(space)
     if count > cap:
+        try:
+            shown = "%d" % count
+        except ValueError:  # past the interpreter's int-string limit
+            shown = "of %d digits" % _decimal_digits(count)
         raise EnumerationCapError(
-            "class count %d exceeds cap %d for %s" % (count, cap, space.render())
+            "class count %s exceeds cap %d for %s" % (shown, cap, space.render())
         )
     return _enumerate(space)
+
+
+def _decimal_digits(value):
+    """Decimal digits of ``value`` >= 1, also past the int-string limit."""
+    digits = 0
+    while value >= 10**1000:
+        value //= 10**1000
+        digits += 1000
+    return digits + len(str(value))
 
 
 def _enumerate(space):
@@ -644,9 +648,6 @@ class ChowClass:
             if idx == index:
                 return coeff
         return 0
-
-    def is_zero(self):
-        return not self.terms
 
     def counter(self):
         return Counter({idx: c for idx, c in self.terms})

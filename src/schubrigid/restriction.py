@@ -16,6 +16,9 @@ smallest unfinished quadric one step at a time:
 
 Only the two displayed branch rules are implemented.  A state they do not
 cover raises unsupported-degeneration rather than a silent wrong answer.
+
+The trace is plain events, rendered only when it is read.  An unsupported
+state's error carries the events before it as ``partial_trace``.
 """
 from __future__ import annotations
 
@@ -56,12 +59,17 @@ class RestrictionSequence:
         return len(self.isotropic)
 
     def render(self):
-        f_part = ",".join(str(a) for a in self.isotropic)
-        q_part = ",".join("%d^%d" % (d, r) for d, r in self.ladder)
-        return "F:%s | Q:%s @ %s" % (f_part, q_part, self.space.render())
+        return _render(self.space, self.isotropic, self.ladder)
 
     def __str__(self):
         return self.render()
+
+
+def _render(space, isotropic, ladder):
+    """The sequence literal ``F:a_1,... | Q:d_1^r_1,... @ OG(k,n)``."""
+    f_part = ",".join(str(a) for a in isotropic)
+    q_part = ",".join("%d^%d" % (d, r) for d, r in ladder)
+    return "F:%s | Q:%s @ %s" % (f_part, q_part, space.render())
 
 
 def validate_sequence(seq):
@@ -147,6 +155,12 @@ def sequence_to_index(seq):
 
 # ---------------------------------------------------------------------------
 # the degeneration machine
+#
+# Each move appends one plain event tuple
+#   (event, path, isotropic, ladder, coefficient, *fields)
+# where ``fields`` are the event's own: the quadric [d, r, r'] of a raise,
+# break or split, then a split's pivot and effective_L1.  Nothing is rendered
+# until the trace is read.
 
 
 @dataclass(frozen=True)
@@ -159,7 +173,21 @@ class _State:
 
 @dataclass(frozen=True)
 class DegenerationTrace:
-    steps: tuple
+    space: SpaceDescriptor
+    events: tuple
+
+    @property
+    def steps(self):
+        steps = []
+        for event, path, isotropic, ladder, coefficient, *fields in self.events:
+            step = {"path": path, "event": event}
+            if fields:
+                step["quadric"] = fields[0]
+            step["state"] = _render(self.space, isotropic, ladder)
+            step.update(zip(("pivot", "effective_L1"), fields[1:]))
+            step["coefficient"] = coefficient
+            steps.append(step)
+        return tuple(steps)
 
     def to_json_lines(self):
         import json
@@ -167,38 +195,29 @@ class DegenerationTrace:
         return [json.dumps(step, sort_keys=True) for step in self.steps]
 
 
-def _state_sanity(seq_space, state, og_mode, trace):
+def _state_sanity(seq_space, state, og_mode):
     a = state.isotropic
     ladder = state.ladder
     n = seq_space.ambient
     if any(x >= y for x, y in zip(a, a[1:])) or (a and a[0] < 1):
-        raise UnsupportedDegenerationError(
-            "degenerate isotropic chain %s" % (a,),
-            partial_trace=DegenerationTrace(tuple(trace)),
-        )
+        raise UnsupportedDegenerationError("degenerate isotropic chain %s" % (a,))
     if any(d1 <= d2 for (d1, _), (d2, _) in zip(ladder, ladder[1:])):
-        raise UnsupportedDegenerationError(
-            "quadric dimensions collided in %s" % (ladder,),
-            partial_trace=DegenerationTrace(tuple(trace)),
-        )
+        raise UnsupportedDegenerationError("quadric dimensions collided in %s" % (ladder,))
     for d, r in ladder:
         if r > d - 2:
             raise UnsupportedDegenerationError(
-                "quadric %d^%d has rank < 2; state not covered" % (d, r),
-                partial_trace=DegenerationTrace(tuple(trace)),
+                "quadric %d^%d has rank < 2; state not covered" % (d, r)
             )
         if og_mode and d + r > n:
             raise UnsupportedDegenerationError(
-                "corank %d exceeds the ambient bound for %d^%d" % (r, d, r),
-                partial_trace=DegenerationTrace(tuple(trace)),
+                "corank %d exceeds the ambient bound for %d^%d" % (r, d, r)
             )
     for a_i in a:
         for d, r in ladder:
             if a_i == r + 1:
                 raise UnsupportedDegenerationError(
                     "static a_i = r_j + 1 (a_i=%d, Q=%d^%d); reducible state "
-                    "not covered by the displayed rules" % (a_i, d, r),
-                    partial_trace=DegenerationTrace(tuple(trace)),
+                    "not covered by the displayed rules" % (a_i, d, r)
                 )
 
 
@@ -213,12 +232,10 @@ def _active_quadric(space, state, og_mode):
     return None
 
 
-def degenerate_step(space, state, og_mode, trace):
-    """One move of the machine; returns the successor states (possibly two)."""
-    _state_sanity(space, state, og_mode, trace)
-    pos = _active_quadric(space, state, og_mode)
-    if pos is None:
-        return ()
+def degenerate_step(space, state, pos, og_mode, events):
+    """One move on the active quadric at ``pos``; returns the successor states
+    (one or two) and appends the move's event."""
+    _state_sanity(space, state, og_mode)
     d, r = state.ladder[pos]
     a = state.isotropic
     if r == d - 2:
@@ -226,43 +243,24 @@ def degenerate_step(space, state, og_mode, trace):
         new_a = tuple(sorted(a + (d - 1,)))
         ladder = state.ladder[:pos] + state.ladder[pos + 1 :]
         child = _State(new_a, ladder, state.coefficient * 2, state.path + "B")
-        trace.append(
-            {
-                "path": state.path,
-                "event": "break",
-                "quadric": [d, r, r],
-                "state": _render_state(space, state),
-                "coefficient": child.coefficient,
-            }
-        )
+        events.append(("break", state.path, a, state.ladder, child.coefficient, [d, r, r]))
         if d - 1 in a:
             raise UnsupportedDegenerationError(
-                "break produced a duplicate isotropic dimension %d" % (d - 1),
-                partial_trace=DegenerationTrace(tuple(trace)),
+                "break produced a duplicate isotropic dimension %d" % (d - 1)
             )
         return (child,)
     r2 = r + 1
     split_i = next((i for i, a_i in enumerate(a, start=1) if a_i == r2 + 1), None)
     if split_i is None:
         ladder = state.ladder[:pos] + ((d, r2),) + state.ladder[pos + 1 :]
-        child = _State(a, ladder, state.coefficient, state.path)
-        trace.append(
-            {
-                "path": state.path,
-                "event": "raise",
-                "quadric": [d, r, r2],
-                "state": _render_state(space, state),
-                "coefficient": state.coefficient,
-            }
-        )
-        return (child,)
+        events.append(("raise", state.path, a, state.ladder, state.coefficient, [d, r, r2]))
+        return (_State(a, ladder, state.coefficient, state.path),)
     # split: the raised corank is one below a_i
     if pos != len(state.ladder) - 1:
         # the displayed effectivity guard is the smallest-quadric instance;
         # splitting behind a frozen smaller quadric is outside its scope
         raise UnsupportedDegenerationError(
-            "split on a non-smallest quadric %d^%d is not covered" % (d, r2),
-            partial_trace=DegenerationTrace(tuple(trace)),
+            "split on a non-smallest quadric %d^%d is not covered" % (d, r2)
         )
     a_i = a[split_i - 1]
     s = len(a)
@@ -274,72 +272,41 @@ def degenerate_step(space, state, og_mode, trace):
     new_a = a[: split_i - 1] + (a_i - 1,) + a[split_i:]
     ladder = state.ladder[:pos] + ((d, r2),) + state.ladder[pos + 1 :]
     children.append(_State(new_a, ladder, state.coefficient, state.path + "2"))
-    trace.append(
-        {
-            "path": state.path,
-            "event": "split",
-            "quadric": [d, r, r2],
-            "state": _render_state(space, state),
-            "pivot": a_i,
-            "effective_L1": effective,
-            "coefficient": state.coefficient,
-        }
+    events.append(
+        ("split", state.path, a, state.ladder, state.coefficient, [d, r, r2], a_i, effective)
     )
     return tuple(children)
 
 
-def _render_state(space, state):
-    return RestrictionSequence(
-        space=space, isotropic=state.isotropic, ladder=state.ladder
-    ).render()
-
-
-def degenerate_sequence_step(seq, og_mode=True):
-    """One public-facing move: successor sequences plus the trace entries.
-
-    Returns an empty tuple when the sequence is already terminal for the
-    requested mode.
-    """
-    trace = []
-    state = _State(seq.isotropic, seq.ladder, 1, "r")
-    children = degenerate_step(seq.space, state, og_mode, trace)
-    successors = tuple(
-        RestrictionSequence(space=seq.space, isotropic=c.isotropic, ladder=c.ladder)
-        for c in children
-    )
-    return successors, DegenerationTrace(tuple(trace))
-
-
 def _run(space, seq, og_mode):
-    trace = []
-    start = _State(seq.isotropic, seq.ladder, 1, "r")
-    if not og_mode:
-        for d, r in seq.ladder:
-            if r > d - 3:
-                raise UnsupportedDegenerationError(
-                    "starting quadric %d^%d is at or past the break state; the "
-                    "two-component bookkeeping is not covered" % (d, r),
-                    partial_trace=DegenerationTrace(tuple(trace)),
-                )
-    stack = [start]
+    """Terminal states and the trace; an unsupported state's error carries the
+    events up to it as ``partial_trace``."""
+    events = []
     terminals = []
-    while stack:
-        state = stack.pop()
-        pos = _active_quadric(space, state, og_mode)
-        if pos is None:
-            terminals.append(state)
-            trace.append(
-                {
-                    "path": state.path,
-                    "event": "terminal",
-                    "state": _render_state(space, state),
-                    "coefficient": state.coefficient,
-                }
-            )
-            continue
-        children = degenerate_step(space, state, og_mode, trace)
-        stack.extend(reversed(children))
-    return terminals, DegenerationTrace(tuple(trace))
+    try:
+        if not og_mode:
+            for d, r in seq.ladder:
+                if r > d - 3:
+                    raise UnsupportedDegenerationError(
+                        "starting quadric %d^%d is at or past the break state; the "
+                        "two-component bookkeeping is not covered" % (d, r)
+                    )
+        stack = [_State(seq.isotropic, seq.ladder, 1, "r")]
+        while stack:
+            state = stack.pop()
+            pos = _active_quadric(space, state, og_mode)
+            if pos is None:
+                terminals.append(state)
+                events.append(
+                    ("terminal", state.path, state.isotropic, state.ladder, state.coefficient)
+                )
+                continue
+            children = degenerate_step(space, state, pos, og_mode, events)
+            stack.extend(reversed(children))
+    except UnsupportedDegenerationError as exc:
+        exc.partial_trace = DegenerationTrace(space, tuple(events))
+        raise
+    return terminals, DegenerationTrace(space, tuple(events))
 
 
 def expand(seq):
@@ -361,7 +328,9 @@ def expand(seq):
 def og_to_grass(space, index):
     """Full type-A expansion of the push-forward of an OG class into G(k,n).
 
-    ``schubert_to_sequence`` validates the index before anything else runs."""
+    ``schubert_to_sequence`` validates the index before anything else runs.
+    Every quadric degenerates until it breaks, so each terminal state holds
+    isotropic dimensions only."""
     seq = schubert_to_sequence(space, index)
     terminals, trace = _run(space, seq, og_mode=False)
     target = SpaceDescriptor(
@@ -369,10 +338,6 @@ def og_to_grass(space, index):
     )
     terms = {}
     for state in terminals:
-        if state.ladder:
-            raise UnsupportedDegenerationError(
-                "terminal state still carries a quadric", partial_trace=trace
-            )
         idx = plain_index(state.isotropic)
         check_valid(target, idx)
         terms[idx] = terms.get(idx, 0) + state.coefficient

@@ -126,6 +126,22 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported-degeneration" in err
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_unsupported_degeneration_trace_prints_partial_trace(self, capsys, as_json):
+        # the steps up to the unsupported state, then the error line last
+        argv = ["expand", "(2,3|0) @ OG(3,9)", "--to-grass", "--trace"]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2 and out == ""
+        *steps, last = err.splitlines()
+        assert [(s["event"], s["path"]) for s in map(json.loads, steps)] == [("split", "r")]
+        if as_json:
+            assert json.loads(last)["kind"] == "unsupported-degeneration"
+        else:
+            assert last.startswith("unsupported-degeneration: static a_i = r_j + 1")
+        # without --trace only the error line is printed
+        code, _, err = run(capsys, *argv[:-1], *(["--json"] if as_json else []))
+        assert code == 2 and err.splitlines() == [last]
+
     def test_enumeration_cap_is_two(self, capsys, monkeypatch):
         monkeypatch.setenv("SCHUBERT_ENUM_CAP", "2")
         code, _, err = run(capsys, "census", "G(2,4)")
@@ -185,6 +201,36 @@ class TestExitCodes:
         code, out, err = run(capsys, "rigid", "1,3 @ G(2,4)", "--sub", ref, "--json")
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "validation"
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize(
+        "argv, kind, message",
+        [
+            # 8,000 digits of class count against the cap
+            (
+                ("census", "G(2,%s)" % ("9" * 4000)),
+                "enumeration-cap",
+                "class count of 8000 digits exceeds cap",
+            ),
+            # N-8,...,N @ G(9,N), N = 10^4300 - 1: a 4,301-digit dimension
+            (
+                ("dim", ",".join("9" * 4299 + str(d) for d in range(1, 10)) + " @ G(9,%s)" % ("9" * 4300)),
+                "overflow",
+                "result too large to render",
+            ),
+        ],
+        ids=["census-count", "dim"],
+    )
+    def test_numbers_past_the_int_string_limit_exit_two(self, capsys, argv, kind, message, as_json):
+        # accepted input whose result outgrows the int-string limit: a
+        # documented error, never an escaping ValueError
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2 and out == ""
+        if as_json:
+            payload = json.loads(err)
+            assert payload["kind"] == kind and payload["message"].startswith(message)
+        else:
+            assert err.startswith("%s: %s" % (kind, message))
 
     def test_push_from_a_grassmannian_is_unsupported_kind(self, capsys):
         code, out, err = run(capsys, "push", "1,3 @ G(2,4)", "--t", "1", "--json")

@@ -1,11 +1,23 @@
 """Restriction sequences: validation, the degeneration loop, OG-to-G expansion."""
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
+import pathlib
+
 import pytest
 
-from schubrigid import restriction
+from schubrigid import checks, cli, restriction
 from schubrigid.errors import UnsupportedDegenerationError, ValidationError
-from schubrigid.indices import dimension, enumerate_indices, plain_index
+from schubrigid.indices import (
+    SpaceKind,
+    dimension,
+    enumerate_indices,
+    plain_index,
+    render_literal,
+)
 from schubrigid.parser import parse_index, parse_sequence, parse_space
 
 
@@ -87,13 +99,15 @@ class TestExpand:
         assert dict(cls.terms) == {s11: 1, s22: 1}
 
     def test_single_step_public_wrapper(self):
-        s = seq("F:2 | Q:6^0 @ OG(2,7)")
-        successors, trace = restriction.degenerate_sequence_step(s, og_mode=True)
-        # the raise 0 -> 1 lands on a_1 - 1 and splits; both branches effective
-        assert len(successors) == 2
-        assert trace.steps[0]["event"] == "split"
+        # the first move, read off expand's trace: the raise 0 -> 1 lands on
+        # a_1 - 1 and splits; both branches effective, so both are walked
+        _, trace = restriction.expand(seq("F:2 | Q:6^0 @ OG(2,7)"))
+        first = trace.steps[0]
+        assert first["event"] == "split" and first["effective_L1"]
+        assert {step["path"][:2] for step in trace.steps[1:]} == {"r1", "r2"}
         terminal = restriction.schubert_to_sequence(*parse_index("(1|1) @ OG(2,7)"))
-        assert restriction.degenerate_sequence_step(terminal, og_mode=True)[0] == ()
+        _, trace = restriction.expand(terminal)
+        assert [step["event"] for step in trace.steps] == ["terminal"]
 
     def test_trace_replay_determinism(self):
         s = seq("F:2 | Q:6^0 @ OG(2,7)")
@@ -168,8 +182,10 @@ class TestOgToGrass:
     def test_even_boundary_unsupported(self):
         # b = n/2 - 1 marks the two-component case the displayed rules skip
         sp, idx = parse_index("(|2,3) @ OG(2,8)")
-        with pytest.raises(UnsupportedDegenerationError):
+        with pytest.raises(UnsupportedDegenerationError) as info:
             restriction.og_to_grass(sp, idx)
+        # the start check fails before any move: an empty partial trace
+        assert info.value.partial_trace.steps == ()
 
     def test_leading_coefficient_power_of_two(self):
         sp = parse_space("OG(2,9)")
@@ -183,3 +199,47 @@ class TestOgToGrass:
             if idx.a and plain_index(idx.a) in [t for t, _ in cls.terms]:
                 pass  # prefix coverage exercised in test_multirigid
             assert sum(c for _, c in cls.terms) % total == 0
+
+
+GOLDEN_DEGENERATIONS = pathlib.Path(__file__).parent / "data" / "degenerations_golden.jsonl"
+GOLDEN_EXPAND_FLAGS = (
+    ("--to-grass", "--json"),
+    ("--to-grass", "--json", "--trace"),
+    ("--from-schubert", "--json"),
+    ("--from-schubert", "--json", "--trace"),
+)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def golden_degeneration_lines():
+    """One line per class of every OG(k,n) with n <= 13, both components at
+    n = 2k: per ``expand`` call of GOLDEN_EXPAND_FLAGS the exit code, a digest
+    of stdout and a digest of stderr (of its last line only on a nonzero exit,
+    so lines printed before the error do not count)."""
+    for space in checks._spaces((SpaceKind.GRASS_ORTH,), 13, 1):
+        for idx in enumerate_indices(space):
+            literal = render_literal(space, idx)
+            calls = []
+            for flags in GOLDEN_EXPAND_FLAGS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(["expand", literal, *flags])
+                err = err.getvalue()
+                if code:
+                    err = err.splitlines()[-1]
+                calls.append([code, _digest(out.getvalue()), _digest(err)])
+            yield json.dumps({"literal": literal, "calls": calls}) + "\n"
+
+
+class TestGoldenDegenerations:
+    def test_expand_byte_identical(self):
+        # every degeneration result, error and trace line of the machine, as
+        # the CLI prints them; recorded before the trace became plain events
+        golden = GOLDEN_DEGENERATIONS.read_text().splitlines(keepends=True)
+        got = list(golden_degeneration_lines())
+        assert len(got) == len(golden) == 2172
+        for line, want in zip(got, golden):
+            assert line == want
