@@ -52,16 +52,6 @@ class SpaceKind(Enum):
         return self in (SpaceKind.FLAG_A, SpaceKind.FLAG_ORTH, SpaceKind.FLAG_SYMP)
 
     @property
-    def is_paired(self):
-        """True for the kinds whose indices carry a co-condition (b) part."""
-        return self in (
-            SpaceKind.GRASS_ORTH,
-            SpaceKind.FLAG_ORTH,
-            SpaceKind.GRASS_SYMP,
-            SpaceKind.FLAG_SYMP,
-        )
-
-    @property
     def is_orth(self):
         return self in (SpaceKind.GRASS_ORTH, SpaceKind.FLAG_ORTH)
 
@@ -282,7 +272,7 @@ def _strictly_increasing(seq):
 def validate(space, index):
     """Report every violated invariant; an empty report means the index is valid."""
     problems = []
-    if (index.flagged, index.paired) != (space.kind.is_flag, space.kind.is_paired):
+    if (index.flagged, index.paired) != (space.kind.is_flag, not space.kind.is_type_a):
         problems.append(
             "index shape does not match space kind %s" % space.kind.value
         )
@@ -371,11 +361,10 @@ def check_valid(space, index):
 
 
 def dimension(space, index):
-    """Dimension of the Schubert variety; type-A kinds only."""
-    if space.kind is SpaceKind.GRASS_A:
-        return sum(a - i for i, a in enumerate(index.a, start=1))
-    if space.kind is SpaceKind.FLAG_A:
-        return _dim_flagged(space.steps, tuple(zip(index.a, index.alpha)))
+    """Dimension of the Schubert variety; type-A kinds only.  G(k,n) reads as
+    F(k;n), a single step whose labels are never looked at."""
+    if space.kind.is_type_a:
+        return _dim_flagged(space.steps, index.a_entries())
     raise UnsupportedKindError(
         "no dimension formula implemented for %s indices" % space.kind.value
     )
@@ -393,15 +382,14 @@ def _dim_flagged(steps, entries):
 
 
 def dual(space, index):
-    """Poincare dual index; an involution on type-A indices."""
-    n = space.ambient
-    if space.kind is SpaceKind.GRASS_A:
-        return plain_index(tuple(n - a + 1 for a in reversed(index.a)))
-    if space.kind is SpaceKind.FLAG_A:
-        entries = tuple(
-            (n - a + 1, t) for a, t in reversed(tuple(zip(index.a, index.alpha)))
+    """Poincare dual index; an involution on type-A indices.  The values
+    a -> n + 1 - a and the labels (none on G(k,n)) reverse together."""
+    if space.kind.is_type_a:
+        alpha = index.alpha
+        return SchubertIndex(
+            a=tuple(space.ambient + 1 - a for a in reversed(index.a)),
+            alpha=None if alpha is None else alpha[::-1],
         )
-        return flagged_index(entries)
     raise UnsupportedKindError(
         "duality is only defined for type-A indices, not %s" % space.kind.value
     )

@@ -16,13 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .indices import SpaceDescriptor, SpaceKind, check_valid, dimension
-from .rigidity import (
-    RigidityVerdict,
-    SubIndexVerdict,
-    _orth_essential,
-    essential_grass,
-    make_refs,
-)
+from .rigidity import RigidityVerdict, _orth_essential, _subs, essential_grass, make_refs
 
 
 @dataclass(frozen=True)
@@ -253,12 +247,9 @@ def multirigid_class_og(space, index):
     """Class-level criterion: every essential a passes, every essential b recurs in a."""
     check_valid(space, index)
     keys = _orth_essential(space.ambient, index)
-    subs = tuple(
-        SubIndexVerdict(ref, True, _multirigid_og(space, index, keys, ref.key()))
-        if ref.key() in keys
-        else SubIndexVerdict(ref, False, None)
-        for ref in make_refs(index)
-    )
+    refs = make_refs(index)
+    essential = sum(1 << q for q, ref in enumerate(refs) if ref.key() in keys)
+    subs = _subs(refs, essential, lambda q: (_multirigid_og(space, index, keys, refs[q].key()), ()))
     # an essential b whose value is not an a-value already fails its own test
     return RigidityVerdict(
         space=space,

@@ -186,7 +186,7 @@ def parse_index(text):
         raise ParseError("trailing input after space", location=scanner.pos)
     # plain literal for a flagged space never validates; shape fix-ups for the
     # empty-part cases where the writer could not carry block labels
-    if space.kind.is_flag and space.kind.is_paired and index.paired:
+    if space.kind.is_flag and not space.kind.is_type_a and index.paired:
         if index.alpha is None and not index.a:
             index = SchubertIndex(a=(), alpha=(), b=index.b, beta=index.beta)
         if index.beta is None and not index.b:

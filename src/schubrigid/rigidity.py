@@ -20,30 +20,33 @@ The criteria used here:
 * Symplectic spaces: sufficient conditions only; everything else reports
   "unknown" (None) rather than guessing.
 
-G(k,n) has its own short path (``_grass_class``): the essential set is the
-gap positions, each essential entry is rigid by the four-clause test with
-witness level 1, and the relation is the chain of essential entries.  Its
-refs carry block 1, the label F(k;n) would give them.
+Each Grassmannian kind has one row (``_grass_row``, ``_orth_row``,
+``_symp_row``): the (essential, rigid) int bitmasks of a valid G, OG or SG
+index, bit p - 1 for a_p, then bit s + q - 1 for b_q.  A Grassmannian class
+reads its own row, and every flag image the row of its level's target kind.
+One builder, ``_subs``, turns an essential mask and the (rigid, witness)
+rule of a kind into its ``SubIndexVerdict``s.  G(k,n) refs carry block 1,
+as F(k;n) labels them.
 
 Every flag verdict reads one per-class analysis (``_ClassAnalysis``).  It
 numbers the refs of the index 0..m-1 and takes the image under each pi_t
-once.  What depends only on the image -- the target space of each
-level and one (essential, rigid) pair of bitmasks over the image's entries
--- lives in ``_SpaceTables``, keyed by the tuple (t, image.a, image.b),
-because the classes of one space keep meeting the same few images.  The
-analysis maps each level's masks onto its own ref bits, so every question
-"first level t >= threshold where these refs are essential / rigid" -- first
-essential level, first common essential level, rigid levels, the SF a_i = i
-test -- is a loop over ints, and a relation closes by Warshall over bit
-rows.  ``_verdict`` is the one verdict path: ``classify`` builds tables for
-one class, and ``classify_space`` shares one set across a census.  Nothing
-outlives the call that built it.  Read a sub-index verdict with
-``RigidityVerdict.sub`` and the relation with ``.relation``.
+once.  What depends only on the image -- the target space of each level
+and the row of the image -- lives in ``_SpaceTables``, keyed by the tuple
+(t, image.a, image.b), because the classes of one space keep meeting the
+same few images.  The analysis maps each level's masks onto its own ref
+bits, so every question "first level t >= threshold where these refs are
+essential / rigid" -- first essential level, first common essential level,
+rigid levels, the SF a_i = i test -- is a loop over ints, and a relation
+closes by Warshall over bit rows.  ``_verdict`` is the one verdict path:
+``classify`` builds tables for one class, and ``classify_space`` shares one
+set across a census.  Nothing outlives the call that built it.  Read a
+sub-index verdict with ``RigidityVerdict.sub`` and the relation with
+``.relation``.
 
 ``classify`` and ``essential_grass`` validate their index once, where it
 enters; ``classify_space`` reads ``enumerate_indices``, valid by
 construction, and validates nothing.  What runs behind them -- ``_verdict``,
-``remove_above``, the essential cores and the clause tests -- trusts it.
+``remove_above``, the rows and the clause tests -- trusts it.
 """
 from __future__ import annotations
 
@@ -283,8 +286,8 @@ class _SpaceTables:
     plain tuple ``(t, image.a, image.b)``, one ``(essential, rigid)`` pair
     of int bitmasks over the image's entries: bit p - 1 for a_p, then bit
     s + q - 1 for b_q.  Rigid means essential and rigid in the image (on SF:
-    a_i = i suffices there).  A pair is filled once per distinct image, from
-    the essential cores and the clause tests.  The tables hold nothing of any
+    a_i = i suffices there).  A pair is filled once per distinct image, by
+    the row of the level's target kind.  The tables hold nothing of any
     one class.  A census builds one for its space and reads it for every
     class (``classify_space``); a ``classify`` call builds its own.
     """
@@ -307,26 +310,8 @@ class _SpaceTables:
         return masks
 
     def _fill(self, t, image):
-        kind, s = self.space.kind, image.s
-        if kind is SpaceKind.FLAG_A:
-            keys = [("a", i) for i in _gap_positions(image.a)]
-        elif kind is SpaceKind.FLAG_ORTH:
-            keys = _orth_essential(self.space.ambient, image)
-        else:
-            keys = _symp_essential(image)
-        essential = rigid = 0
-        for side, p in keys:
-            bit = 1 << (p - 1 if side == "a" else s + p - 1)
-            essential |= bit
-            if kind is SpaceKind.FLAG_A:
-                rigid_here = _grass_rigid(image.a, p)
-            elif kind is SpaceKind.FLAG_ORTH:
-                rigid_here = _orth_rigid(self.target(t), image, (side, p))
-            else:
-                rigid_here = side == "a" and _sg_sufficient(self.target(t), image, p)
-            if rigid_here:
-                rigid |= bit
-        return essential, rigid
+        target = self.target(t)
+        return _ROWS[target.kind](target, image)
 
 
 class _ClassAnalysis:
@@ -338,7 +323,8 @@ class _ClassAnalysis:
     masks are read from ``tables``, the space's ``_SpaceTables``, and mapped
     onto the class's bits through the refs that survive at t: ``ess[t]`` and
     ``rig[t]`` have bit q when ref q is essential, resp. essential and rigid,
-    in that image; ``essential`` lists the essential ref numbers.  Every
+    in that image; ``essential_mask`` has the bits of the essential refs and
+    ``essential`` lists their numbers.  Every
     question "first level t >= threshold where all these refs are essential /
     rigid" is a loop over those masks; a ref's bit is clear below its own
     block, so the threshold needs no max with it.  A census passes one
@@ -351,6 +337,7 @@ class _ClassAnalysis:
         self.refs = make_refs(index)
         self.blocks = space.blocks
         self.ess, self.rig = [0], [0]  # level 0 is never read
+        essential = 0  # essential in some pi_t
         ref_blocks = [ref.block for ref in self.refs]
         for t in range(1, self.blocks + 1):
             ess, rig = tables.masks(t, remove_above(index, t))
@@ -368,13 +355,11 @@ class _ClassAnalysis:
                     bit <<= 1
             self.ess.append(ess)
             self.rig.append(rig)
+            essential |= ess
         if space.kind is SpaceKind.FLAG_A:  # the closed form; ref q is a_{q+1}
-            self.essential = tuple([i - 1 for i in sorted(_flag_essential(index))])
-        else:  # essential in some pi_t
-            essential = 0
-            for mask in self.ess:
-                essential |= mask
-            self.essential = tuple([q for q in range(len(self.refs)) if essential >> q & 1])
+            essential = sum(1 << (i - 1) for i in _flag_essential(index))
+        self.essential_mask = essential
+        self.essential = tuple([q for q in range(len(self.refs)) if essential >> q & 1])
 
     def first(self, table, threshold, need):
         """The least level t >= threshold with every bit of ``need`` set in
@@ -387,15 +372,6 @@ class _ClassAnalysis:
     def levels(self, table, threshold, need):
         """Every such level, ascending."""
         return tuple([t for t in range(threshold, self.blocks + 1) if table[t] & need == need])
-
-    def subs(self, verdict_of):
-        """One SubIndexVerdict per ref; ``verdict_of(q)`` is essential ref q's (rigid, witness)."""
-        return tuple(
-            SubIndexVerdict(ref, True, *verdict_of(q))
-            if q in self.essential
-            else SubIndexVerdict(ref, False, None)
-            for q, ref in enumerate(self.refs)
-        )
 
     def flag_relation(self, paper_literal):
         pick = min if paper_literal else max
@@ -496,6 +472,17 @@ def _ordered_verdict(space, index, subs, relation):
     )
 
 
+def _subs(refs, essential, verdict_of):
+    """One SubIndexVerdict per ref: ref q is essential when bit q of
+    ``essential`` is set, and then ``verdict_of(q)`` is its (rigid, witness)."""
+    subs = []
+    for q, ref in enumerate(refs):
+        here = essential >> q & 1 == 1
+        rigid, witness = verdict_of(q) if here else (None, ())
+        subs.append(SubIndexVerdict(ref, here, rigid, witness))
+    return tuple(subs)
+
+
 # ---------------------------------------------------------------------------
 # rigid sub-indices, type A
 
@@ -547,45 +534,35 @@ def _flag_class(analysis, paper_literal):
     return _ordered_verdict(
         analysis.space,
         analysis.index,
-        analysis.subs(verdict_of),
+        _subs(analysis.refs, analysis.essential_mask, verdict_of),
         analysis.flag_relation(paper_literal),
     )
-
-
-def _grass_subs(space, index):
-    """Sub-index verdicts of a valid G(k,n) class: the gap positions are
-    essential, the four-clause test decides rigidity, witnessed at level 1.
-    Refs carry block 1, as F(k;n) labels them."""
-    essential = _gap_positions(index.a)
-    subs = []
-    for i, value in enumerate(index.a, start=1):
-        ref = SubIndexRef("a", i, value, 1)
-        if i in essential:
-            rigid = _grass_rigid(index.a, i)
-            subs.append(SubIndexVerdict(ref, True, rigid, ("levels", (1,)) if rigid else ()))
-        else:
-            subs.append(SubIndexVerdict(ref, False, None))
-    return tuple(subs)
 
 
 def _grass_chain(subs):
     """The G(k,n) relation: each essential entry before every later one, at
     level 1.  Closed, total and strict as built."""
-    refs = tuple(v.ref for v in subs if v.essential)
-    edges = tuple(RelationEdge(src, dst, 1) for p, src in enumerate(refs) for dst in refs[p + 1 :])
+    refs = tuple([v.ref for v in subs if v.essential])
+    edges = [RelationEdge(src, dst, 1) for p, src in enumerate(refs) for dst in refs[p + 1 :]]
     full = (1 << len(refs)) - 1
     return RelationReport(
         elements=refs,
-        edges=edges,
-        rows=tuple(full >> (p + 1) << (p + 1) for p in range(len(refs))),
+        edges=tuple(edges),
+        rows=tuple([full >> (p + 1) << (p + 1) for p in range(len(refs))]),
         totally_ordered=True,
         strict=True,
     )
 
 
 def _grass_class(space, index):
-    subs = _grass_subs(space, index)
-    return _ordered_verdict(space, index, subs, _grass_chain(subs))
+    """A valid G(k,n) class, read off its row: a rigid entry is witnessed at level 1,
+    and the chain is total, so the class is rigid when every essential entry is."""
+    essential, rigid = _grass_row(space, index)
+    refs = tuple([SubIndexRef("a", i, value, 1) for i, value in enumerate(index.a, start=1)])
+    subs = _subs(
+        refs, essential, lambda q: (True, ("levels", (1,))) if rigid >> q & 1 else (False, ())
+    )
+    return RigidityVerdict(space, index, subs, rigid == essential, _grass_chain(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -641,16 +618,11 @@ def _orth_rigid(space, index, key):
 
 def _orthgrass_class(space, index):
     """Largest-essential-b criterion plus the no-bad-gap condition."""
-    keys = _orth_essential(space.ambient, index)
-    subs = tuple(
-        SubIndexVerdict(ref, True, _orth_rigid(space, index, ref.key()))
-        if ref.key() in keys
-        else SubIndexVerdict(ref, False, None)
-        for ref in make_refs(index)
-    )
+    essential, rigid = _orth_row(space, index)
+    subs = _subs(make_refs(index), essential, lambda q: (rigid >> q & 1 == 1, ()))
     notes = ()
-    if index.b:
-        cond1 = _b_value_clause(space, index, max(j for (side, j) in keys if side == "b"))
+    if index.b:  # b_1 is essential, so the top bit of ``essential`` is the largest essential b
+        cond1 = _b_value_clause(space, index, essential.bit_length() - index.s)
     else:
         cond1 = True
         notes = ("no co-condition part: largest-essential-b condition is vacuous",)
@@ -694,7 +666,7 @@ def _chain_between(relation, source, target):
 
 def _orthflag_class(analysis, paper_literal):
     implies = analysis.implies_relation()
-    subs = analysis.subs(lambda q: analysis.orth_sub(implies, q))
+    subs = _subs(analysis.refs, analysis.essential_mask, lambda q: analysis.orth_sub(implies, q))
     relation = analysis.compat_relation(paper_literal)
     return _ordered_verdict(analysis.space, analysis.index, subs, relation)
 
@@ -703,13 +675,15 @@ def _orthflag_class(analysis, paper_literal):
 # symplectic spaces (sufficient conditions only)
 
 
-def _sg_sufficient(space, index, i):
-    """a_i = i with either a gap >= 3 after it or i = s and n >= 2k + 2."""
+def _sg_sufficient(space, index, key):
+    """``key`` is an a_i with a_i = i and either a gap >= 3 after it, or i = s
+    and n >= 2k + 2."""
+    side, i = key
     n = space.ambient
     k = space.top_step
     a = index.a
     s = index.s
-    if a[i - 1] != i:
+    if side == "b" or a[i - 1] != i:
         return False
     if i < s:
         return a[i] - a[i - 1] >= 3
@@ -729,25 +703,20 @@ def _is_rigid_family(space, index):
 
 
 def _sympgrass_class(space, index):
-    keys = _symp_essential(index)
+    essential, rigid = _symp_row(space, index)
     family = _is_rigid_family(space, index)
-    subs = []
-    for ref in make_refs(index):
-        essential = ref.key() in keys
-        rigid = None
-        witness = ()
-        if essential and ref.side == "a" and _sg_sufficient(space, index, ref.position):
-            rigid = True
-            witness = ("note", "a_i = i sufficient condition")
-        if essential and rigid is None and family:
-            # a rigid class pins the witness subspace of every essential entry
-            rigid = True
-            witness = ("note", "class is a rigid family member")
-        subs.append(SubIndexVerdict(ref, essential, rigid, witness))
+
+    def verdict_of(q):
+        if rigid >> q & 1:
+            return True, ("note", "a_i = i sufficient condition")
+        if family:  # a rigid class pins the witness subspace of every essential entry
+            return True, ("note", "class is a rigid family member")
+        return None, ()
+
     return RigidityVerdict(
         space=space,
         index=index,
-        subs=tuple(subs),
+        subs=_subs(make_refs(index), essential, verdict_of),
         class_rigid=True if family else None,
         notes=() if family else ("no sufficient type-C criterion applies",),
     )
@@ -762,10 +731,57 @@ def _sympflag_class(analysis):
     return RigidityVerdict(
         space=analysis.space,
         index=analysis.index,
-        subs=analysis.subs(verdict_of),
+        subs=_subs(analysis.refs, analysis.essential_mask, verdict_of),
         class_rigid=None,
         notes=("type-C flag classes carry no class-level sufficient criterion",),
     )
+
+
+# ---------------------------------------------------------------------------
+# one row per Grassmannian kind
+
+
+def _grass_row(space, index):
+    """The masks of a valid G(k,n) index: the gap positions, then the four-clause test."""
+    a = index.a
+    essential = rigid = 0
+    for i in _gap_positions(a):
+        essential |= 1 << (i - 1)
+        if _grass_rigid(a, i):
+            rigid |= 1 << (i - 1)
+    return essential, rigid
+
+
+def _orth_row(space, index):
+    """The masks of a valid OG(k,n) pair: ``_orth_essential``, then the clause tests."""
+    return _pair_row(space, index, _orth_essential(space.ambient, index), _orth_rigid)
+
+
+def _symp_row(space, index):
+    """The masks of a valid SG(k,n) pair; rigid is a_i = i sufficing, clear on the b side."""
+    return _pair_row(space, index, _symp_essential(index), _sg_sufficient)
+
+
+def _pair_row(space, index, keys, rigid_test):
+    """(essential, rigid) bitmasks of a pair index whose essential keys are
+    ``keys``, bit p - 1 for a_p, then bit s + q - 1 for b_q."""
+    s = index.s
+    essential = rigid = 0
+    for key in keys:
+        side, p = key
+        bit = 1 << (p - 1 if side == "a" else s + p - 1)
+        essential |= bit
+        if rigid_test(space, index, key):
+            rigid |= bit
+    return essential, rigid
+
+
+# a flag image reads the row of its level's target kind
+_ROWS = {
+    SpaceKind.GRASS_A: _grass_row,
+    SpaceKind.GRASS_ORTH: _orth_row,
+    SpaceKind.GRASS_SYMP: _symp_row,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,11 @@ import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubrigid import checks, cli
 from schubrigid.cli import main
@@ -241,6 +244,77 @@ class TestExitCodes:
         code, out, err = run(capsys, "expand", "F:2 | Q:6^0 @ G(2,7)", "--json")
         assert code == 1 and out == ""
         assert json.loads(err)["kind"] == "validation"
+
+
+# literals of all six kinds: valid, invalid, degenerate and unparseable
+LITERALS = (
+    "1,3 @ G(2,4)", "2,3 @ G(2,4)", "9,9 @ G(2,4)", "1 @ G(1,1)", "1,2 @ G(5,4)",
+    "2^1,4^2 @ F(1,2;4)", "1^2,3^1,4^2 @ F(1,3;4)", "2^1,4^3 @ F(1,2;4)", "1,3 @ F(1,2;4)",
+    "(1|1) @ OG(2,7)", "(2,3|0) @ OG(3,9)", "(|2,3) @ OG(2,8)", "(1|0) @ OG(2,7)",
+    "(6|0,1,2,3,4) @ OG(6,12)", "(1,2|) @ OG(2,4)", "(1|1) @ OG(3,5)",
+    "(1^1|1^2) @ OF(1,2;5)", "(2^1|0^2) @ OF(1,2;7)", "(1^1|1^1) @ OF(1,2;5)",
+    "(1,4|) @ SG(2,8)", "(2|0) @ SG(2,8)", "(1|1) @ SG(2,7)",
+    "(1^1|1^2) @ SF(1,2;8)", "(1^1|) @ SF(1;4)", "(1|2) @ SF(1,2;6)",
+    "", "not an index", "1,3 @ X(2,4)", "9" * 5000 + " @ G(1,2)",
+)
+SPACES = ("G(2,4)", "F(1,2;4)", "OG(2,5)", "OF(1,2;5)", "SG(1,4)", "SF(1,2;4)", "OG(2,4)",
+          "G(5,4)", "SG(1,5)", "F(2,1;4)", "OG(0,3)", "G(1,%s)" % ("9" * 5000), "")
+SEQUENCES = ("F:2 | Q:6^0 @ OG(2,7)", "F:2 | Q:5^0,4^0 @ OG(3,9)", "F: | Q:8^1,7^0 @ OG(2,9)",
+             "F:2 | Q:6^0 @ G(2,7)", "F:9 | Q:1^5 @ OG(2,7)", "F:")
+INTS = ("-1", "0", "1", "2", "3", "x")
+TERMS = ("1:1,2,8", "1:2,3,8", "2:1,3,9", "0:1,2,8", "1:9,9,9", "x")
+G24 = ("1,2 @ G(2,4)", "1,3 @ G(2,4)", "2,4 @ G(2,4)", "3,4 @ G(2,4)")
+PATHS = ("{tmp}/out.json", "{tmp}/out.csv")
+# each command but selftest: positional pools, then (option, value pool or None)
+FORMS = {
+    "validate": ([LITERALS], []),
+    "dim": ([LITERALS], []),
+    "dual": ([LITERALS], []),
+    "push": ([LITERALS], [("--t", INTS)]),
+    "fiber": ([LITERALS], [("--t", INTS)]),
+    "essential": ([LITERALS], [("--paper-literal", None)]),
+    "rigid": (
+        [LITERALS], [("--sub", ("a1", "a2", "b1", "b2", "c1", "a0", "")), ("--paper-literal", None)]
+    ),
+    "multirigid": ([LITERALS], []),
+    "gamma": ([], [
+        ("--i", INTS),
+        ("--space", ("G(3,9)", "G(3,9)", "G(2,4)", "OG(2,5)", "G(5,4)", "")),
+        ("--term", TERMS),
+        ("--term", TERMS),
+    ]),
+    "product": ([G24 + LITERALS, G24 + LITERALS], []),
+    "expand": (
+        [SEQUENCES + LITERALS], [("--from-schubert", None), ("--to-grass", None), ("--trace", None)]
+    ),
+    "census": ([SPACES], [("--out", PATHS), ("--csv", PATHS), ("--paper-literal", None)]),
+}
+REQUIRED = ("--t", "--i", "--space", "--term")
+FOREIGN = ("--t", "--sub", "--paper-literal", "--from-schubert", "--js", "--bogus")
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(FORMS)))
+    positional, options = FORMS[command]
+    argv = [command] + [draw(st.sampled_from(pool)) for pool in positional]
+    for option, values in options + [("--json", None)]:
+        if draw(st.integers(0, 7)) if option in REQUIRED else draw(st.booleans()):
+            argv += [option] if values is None else [option, draw(st.sampled_from(values))]
+    if draw(st.integers(0, 7)) == 0:  # now and then one more option, mostly a foreign one
+        argv.append(draw(st.sampled_from(FOREIGN)))
+    return argv
+
+
+class TestWholeArgvFuzz:
+    @settings(derandomize=True, database=None, max_examples=250, deadline=None)
+    @given(argvs())
+    def test_every_argv_exits_zero_one_or_two(self, argv):
+        # every command but selftest, over literals of all six kinds and the
+        # command's options: an answer or a documented exit code, never a
+        # traceback (--help and --version exit through SystemExit(0))
+        with tempfile.TemporaryDirectory() as tmp:
+            assert main([arg.replace("{tmp}", tmp) for arg in argv]) in (0, 1, 2)
 
 
 class TestUsageErrors:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,27 @@ LITERAL_TOKENS = tuple("0123456789GFOSQ()|,;^@: ") + (
 
 def space(text):
     return parse_space(text)
+
+
+def candidate_indices(sp):
+    """Every index of the shape of ``sp`` (a and b increasing, of the lengths
+    the shape asks for), with each value range one wider on both sides and
+    block labels in 1..blocks."""
+    n, d_k = sp.ambient, sp.top_step
+
+    def labels(m):
+        return itertools.product(range(1, sp.blocks + 1), repeat=m) if sp.kind.is_flag else [None]
+
+    if sp.kind.is_type_a:
+        for a in itertools.combinations(range(0, n + 2), d_k):
+            for alpha in labels(d_k):
+                yield SchubertIndex(a=a, alpha=alpha)
+        return
+    for s in range(d_k + 1):
+        for a in itertools.combinations(range(0, sp.half + 2), s):
+            for b in itertools.combinations(range(-1, sp.half + 1), d_k - s):
+                for alpha, beta in itertools.product(labels(s), labels(d_k - s)):
+                    yield SchubertIndex(a=a, alpha=alpha, b=b, beta=beta)
 
 
 class TestParsing:
@@ -194,6 +216,23 @@ class TestDimension:
             total = sum(d * (e - d) for d, e in zip(dims, dims[1:]))
             for idx in enumerate_indices(sp):
                 assert dimension(sp, idx) + dimension(sp, dual(sp, idx)) == total
+
+
+class TestGrassFlagTwin:
+    def test_dimension_and_dual_match_the_one_step_flag(self):
+        # G(k,n) is F(k;n) with every entry in block 1: the dimension is equal
+        # and dual commutes with that labelling, on every class with n <= 8
+        checked = 0
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                grass = SpaceDescriptor(SpaceKind.GRASS_A, (k,), n)
+                flag = SpaceDescriptor(SpaceKind.FLAG_A, (k,), n)
+                for idx in enumerate_indices(grass):
+                    twin = flagged_index((value, 1) for value in idx.a)
+                    assert dimension(flag, twin) == dimension(grass, idx)
+                    assert dual(flag, twin) == flagged_index((v, 1) for v in dual(grass, idx).a)
+                    checked += 1
+        assert checked == sum(2 ** n - 1 for n in range(1, 9))
 
 
 class TestDual:
@@ -341,6 +380,15 @@ class TestEnumeration:
         listed = list(enumerate_indices(space("F(10,11;12)")))
         assert len(listed) == 132
         assert time.perf_counter() - start < 0.5
+
+    def test_every_valid_candidate_enumerated_once(self):
+        # the converse of test_all_enumerated_valid, on every space with n <= 6
+        # and <= 2 steps, both components when n = 2 d_k
+        ones = [SpaceDescriptor(kind, (1,), 1) for kind in (SpaceKind.GRASS_A, SpaceKind.FLAG_A)]
+        spaces = itertools.chain(ones, checks._spaces(tuple(SpaceKind), max_n=6, max_steps=2))
+        for sp in spaces:
+            valid = [idx for idx in candidate_indices(sp) if not validate(sp, idx)]
+            assert Counter(enumerate_indices(sp)) == Counter(valid), str(sp)
 
     def test_all_enumerated_valid(self):
         # the census classifies what the enumerator yields without validating

@@ -315,7 +315,7 @@ def walk_levels(space, index):
             rigid = {
                 key
                 for key in essential
-                if key[0] == "a" and rigidity._sg_sufficient(target, image, key[1])
+                if key[0] == "a" and rigidity._sg_sufficient(target, image, key)
             }
         out[t] = ({lands[key] for key in essential}, {lands[key] for key in rigid})
     return out
