@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from itertools import combinations, permutations
+from math import inf
 
 from . import chow, multirigid, projections, restriction, rigidity
 from .errors import UnsupportedDegenerationError, ValidationError
@@ -195,17 +196,62 @@ def _spaces(kinds, max_n, max_steps):
                             continue  # no such space, e.g. OG with d_k > n/2
 
 
+# ---------------------------------------------------------------------------
+# the paper's closed forms for type-A flag sub-indices, the oracle of the
+# projection definition that ``rigidity`` runs
+
+
+def _flag_essential(index):
+    """Positions i with i = d_k, a_i < a_{i+1} - 1 or alpha_i < alpha_{i+1}."""
+    a, alpha = index.a, index.alpha
+    return {
+        i
+        for i in range(1, len(a) + 1)
+        if i == len(a) or a[i - 1] < a[i] - 1 or alpha[i - 1] < alpha[i]
+    }
+
+
+def _flag_clause_rigid(index, i):
+    """Closed-form flag rigidity clauses with sentinels a_0 = 0, a_{d_k+1} = inf.
+
+    A block past d_k is never read: such an entry sits behind an infinite gap."""
+    a = index.a
+    alpha = index.alpha
+
+    def value(p):
+        if p == 0:
+            return 0
+        if p > len(a):
+            return inf
+        return a[p - 1]
+
+    def block(p):
+        return alpha[p - 1] if p else 0
+
+    gap = value(i + 1) - value(i)
+    if gap >= 3:
+        return True
+    if gap == 2:
+        return value(i) - value(i - 1) == 1 or block(i) < block(i + 1)
+    # gap == 1
+    if value(i + 2) - value(i) >= 3:
+        return True
+    if block(i + 2) > block(i):
+        return True
+    return value(i - 1) == value(i) - 1 and block(i - 1) < block(i + 1)
+
+
 def check_flag_corollary_equivalence_sweep():
-    """Closed-form flag essentialness and rigidity == the projection definitions,
-    read per level off one analysis per class: the image through the removal
-    rule, then the essential and rigid tests in that image, from one set of
-    image tables per space."""
+    """The closed forms above == the projection definitions that ``rigidity``
+    runs, read per level off one analysis per class: the image through the
+    removal rule, then the essential and rigid tests in that image, from one
+    set of image tables per space."""
     checked = 0
     for space in _spaces((SpaceKind.FLAG_A,), max_n=7, max_steps=3):
         tables = rigidity._SpaceTables(space)
         for idx in enumerate_indices(space):
             analysis = rigidity._ClassAnalysis(space, idx, tables)
-            essentials = rigidity._flag_essential(idx)
+            essentials = _flag_essential(idx)
             for q, ref in enumerate(analysis.refs):
                 via_projection = analysis.first(analysis.ess, 1, 1 << q) is not None
                 _expect(
@@ -214,7 +260,7 @@ def check_flag_corollary_equivalence_sweep():
                     ref.position, idx, space,
                 )
             for i in sorted(essentials):
-                verdict = rigidity._flag_clause_rigid(idx, i)
+                verdict = _flag_clause_rigid(idx, i)
                 levels = analysis.levels(analysis.rig, 1, 1 << (i - 1))  # a_i is ref i - 1
                 _expect(
                     verdict == bool(levels),

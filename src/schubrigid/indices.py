@@ -286,19 +286,13 @@ def validate(space, index):
     if index.a and index.a[0] < 1:
         problems.append("a entries must be positive")
 
-    if space.kind is SpaceKind.GRASS_A:
+    if space.kind.is_type_a:  # G(k,n) reads as F(k;n), with no labels to check
         if len(index.a) != d_k:
-            problems.append("a must have length k=%d" % d_k)
+            problems.append("a must have length %s=%d" % ("d_k" if index.flagged else "k", d_k))
         if index.a and index.a[-1] > n:
             problems.append("a entries must not exceed n=%d" % n)
-        return problems
-
-    if space.kind is SpaceKind.FLAG_A:
-        if len(index.a) != d_k:
-            problems.append("a must have length d_k=%d" % d_k)
-        if index.a and index.a[-1] > n:
-            problems.append("a entries must not exceed n=%d" % n)
-        problems.extend(_check_blocks([index.alpha], space))
+        if index.flagged:
+            problems.extend(_check_blocks([index.alpha], space))
         return problems
 
     # paired kinds
@@ -636,9 +630,6 @@ class ChowClass:
             if idx == index:
                 return coeff
         return 0
-
-    def counter(self):
-        return Counter({idx: c for idx, c in self.terms})
 
     def render(self):
         if not self.terms:

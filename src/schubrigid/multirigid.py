@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedKindError,
     ValidationError,
 )
-from .indices import SpaceDescriptor, SpaceKind, check_valid, dimension
+from .indices import SpaceDescriptor, SpaceKind, check_valid
 from .rigidity import RigidityVerdict, _orth_essential, _subs, essential_grass, make_refs
 
 
@@ -26,7 +26,7 @@ class IndexFamily:
     Coefficients are retained for reporting but ignored by the gamma
     criteria, which depend only on the support.  Classes of honest varieties
     are equidimensional; the criteria themselves never use the dimension, so
-    mixed supports are accepted (``pure_dimension`` reports the distinction).
+    mixed supports are accepted.
     """
 
     space: SpaceDescriptor
@@ -41,10 +41,6 @@ class IndexFamily:
             check_valid(self.space, index)
             if coeff <= 0:
                 raise ValidationError(["family coefficients must be positive"])
-
-    def pure_dimension(self):
-        dims = {dimension(self.space, index) for index, _ in self.members}
-        return len(dims) == 1
 
     def supports(self):
         return tuple(index for index, _ in self.members)
@@ -246,6 +242,8 @@ def _multirigid_og(space, index, keys, key):
 def multirigid_class_og(space, index):
     """Class-level criterion: every essential a passes, every essential b recurs in a."""
     check_valid(space, index)
+    if space.kind is not SpaceKind.GRASS_ORTH:
+        raise UnsupportedKindError("multirigid_class_og needs an OG(k,n) pair")
     keys = _orth_essential(space.ambient, index)
     refs = make_refs(index)
     essential = sum(1 << q for q, ref in enumerate(refs) if ref.key() in keys)

@@ -229,10 +229,8 @@ def parse_sequence(text):
                 break
     scanner.expect("@")
     space = _space(scanner)
-    if scanner.pos < len(scanner.text):
-        scanner.skip_ws()
-        if scanner.pos < len(scanner.text):
-            raise ParseError("trailing input after space", location=scanner.pos)
+    if not scanner.at_end():
+        raise ParseError("trailing input after space", location=scanner.pos)
     ladder.sort(key=lambda q: -q[0])
     return RestrictionSequence(
         space=space, isotropic=tuple(isotropic), ladder=tuple(ladder)

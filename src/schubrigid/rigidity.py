@@ -4,9 +4,10 @@ The criteria used here:
 
 * Grassmannian sub-indices: the four-clause rigidity test, with sentinels
   a_0 = 0 and a_{k+1} = infinity.
-* Type-A flags: a closed-form clause list per sub-index, cross-checked (see
-  the test suite) against the projection definition "rigid in some
-  push-forward at a level >= the entry's block".
+* Type-A flags: the projection definition.  An entry is essential, resp.
+  rigid, when it is so in the image under some pi_t at a level t >= its
+  block, by the G(k,n) tests.  The paper's closed forms of both live in
+  ``checks``, the oracle the selftest sweeps this definition against.
 * Class-level flag rigidity: all essential sub-indices rigid and the
   essential set totally ordered under the compatibility relation.  The level
   threshold in the relation is max(alpha_i, alpha_j); the published min
@@ -115,19 +116,6 @@ class RelationReport:
     rows: tuple  # transitive closure: bit j of rows[i] <=> elements[i] relates to elements[j]
     totally_ordered: bool
     strict: bool
-
-    @property
-    def closure(self):
-        """The transitive closure as a frozenset of (key, key) pairs."""
-        keys = [ref.key() for ref in self.elements]
-        pairs = zip(keys, self.rows)
-        return frozenset((p, q) for p, row in pairs for j, q in enumerate(keys) if row >> j & 1)
-
-    def related(self, source, target):
-        keys = [ref.key() for ref in self.elements]
-        if source.key() not in keys or target.key() not in keys:
-            return False
-        return bool(self.rows[keys.index(source.key())] >> keys.index(target.key()) & 1)
 
     def to_json(self):
         return {
@@ -266,15 +254,6 @@ def _symp_essential(index):
     return {("a", i) for i in _gap_positions(index.a)} | _b_essential(index.b)
 
 
-def _flag_essential(index):
-    a, alpha = index.a, index.alpha
-    return {
-        i
-        for i in range(1, len(a) + 1)
-        if i == len(a) or a[i - 1] < a[i] - 1 or alpha[i - 1] < alpha[i]
-    }
-
-
 # ---------------------------------------------------------------------------
 # the per-class analysis
 
@@ -323,11 +302,12 @@ class _ClassAnalysis:
     masks are read from ``tables``, the space's ``_SpaceTables``, and mapped
     onto the class's bits through the refs that survive at t: ``ess[t]`` and
     ``rig[t]`` have bit q when ref q is essential, resp. essential and rigid,
-    in that image; ``essential_mask`` has the bits of the essential refs and
-    ``essential`` lists their numbers.  Every
-    question "first level t >= threshold where all these refs are essential /
-    rigid" is a loop over those masks; a ref's bit is clear below its own
-    block, so the threshold needs no max with it.  A census passes one
+    in that image.  On every flag kind a ref is essential when it is
+    essential in some image: ``essential_mask`` is the union of the
+    ``ess[t]`` and ``essential`` lists its bits.  Every question "first
+    level t >= threshold where all these refs are essential / rigid" is a
+    loop over those masks; a ref's bit is clear below its own block, so the
+    threshold needs no max with it.  A census passes one
     ``tables`` shared by every class of the space.  An analysis lives for
     one class.
     """
@@ -337,7 +317,7 @@ class _ClassAnalysis:
         self.refs = make_refs(index)
         self.blocks = space.blocks
         self.ess, self.rig = [0], [0]  # level 0 is never read
-        essential = 0  # essential in some pi_t
+        essential = 0  # essential in some image
         ref_blocks = [ref.block for ref in self.refs]
         for t in range(1, self.blocks + 1):
             ess, rig = tables.masks(t, remove_above(index, t))
@@ -356,8 +336,6 @@ class _ClassAnalysis:
             self.ess.append(ess)
             self.rig.append(rig)
             essential |= ess
-        if space.kind is SpaceKind.FLAG_A:  # the closed form; ref q is a_{q+1}
-            essential = sum(1 << (i - 1) for i in _flag_essential(index))
         self.essential_mask = essential
         self.essential = tuple([q for q in range(len(self.refs)) if essential >> q & 1])
 
@@ -493,43 +471,10 @@ def _grass_rigid(a, i):
     return i == len(a) or a[i - 1] == i or a[i - 1] <= a_next - 3 or a[i - 1] == a_prev + 1
 
 
-def _flag_clause_rigid(index, i):
-    """Closed-form flag rigidity clauses with sentinels a_0 = 0, a_{d_k+1} = inf."""
-    a = index.a
-    alpha = index.alpha
-    d_k = len(a)
-
-    def value(p):
-        if p == 0:
-            return 0
-        if p > d_k:
-            return inf
-        return a[p - 1]
-
-    def block(p):
-        if p == 0:
-            return 0
-        if p > d_k:
-            return len(set(alpha)) + d_k  # sentinel; unreachable behind the inf gap
-        return alpha[p - 1]
-
-    gap = value(i + 1) - value(i)
-    if gap >= 3:
-        return True
-    if gap == 2:
-        return value(i) - value(i - 1) == 1 or block(i) < block(i + 1)
-    # gap == 1
-    if value(i + 2) - value(i) >= 3:
-        return True
-    if block(i + 2) > block(i):
-        return True
-    return value(i - 1) == value(i) - 1 and block(i - 1) < block(i + 1)
-
-
 def _flag_class(analysis, paper_literal):
-    def verdict_of(q):  # ref q is a_{q+1}
+    def verdict_of(q):  # rigid in the image at some level, each one a witness
         levels = analysis.levels(analysis.rig, 1, 1 << q)
-        return _flag_clause_rigid(analysis.index, q + 1), ("levels", levels) if levels else ()
+        return bool(levels), ("levels", levels) if levels else ()
 
     return _ordered_verdict(
         analysis.space,

@@ -4,7 +4,7 @@ from __future__ import annotations
 import pytest
 
 from schubrigid import multirigid, rigidity
-from schubrigid.errors import NonEssentialSubIndexError, ValidationError
+from schubrigid.errors import NonEssentialSubIndexError, UnsupportedKindError, ValidationError
 from schubrigid.indices import enumerate_indices, plain_index
 from schubrigid.parser import parse_index, parse_space
 
@@ -82,9 +82,7 @@ class TestGamma:
         if top is not None and mid is not None:
             assert top == mid
 
-    def test_family_reports_dimension_purity(self):
-        assert not family("G(2,5)", (1, 3), (2, 3)).pure_dimension()
-        assert family("G(2,5)", (1, 4), (2, 3)).pure_dimension()
+    def test_family_rejects_nonpositive_coefficient(self):
         with pytest.raises(ValidationError):
             family("G(2,5)", (1, 3), coeff=0)
 
@@ -155,6 +153,14 @@ class TestMultirigidOG:
         sp, idx = parse_index("(|0,2) @ OG(2,9)")
         verdict = multirigid.multirigid_class_og(sp, idx)
         assert verdict.class_rigid is False
+
+    @pytest.mark.parametrize(
+        "text", ["1,3 @ G(2,4)", "2^1,4^2 @ F(1,2;4)", "(1|1) @ SG(2,8)", "(1^1|1^2) @ OF(1,2;5)"]
+    )
+    def test_other_kinds_unsupported(self, text):
+        # valid classes of every kind but OG: no answer from the OG clauses
+        with pytest.raises(UnsupportedKindError):
+            multirigid.multirigid_class_og(*parse_index(text))
 
     def test_multirigid_implies_rigid_og(self):
         for text in ("OG(2,7)", "OG(2,9)", "OG(3,9)"):
