@@ -584,14 +584,3 @@ def check_results(scope="quick"):
         except CheckFailure as exc:
             passed, summary = False, str(exc)
         yield name, passed, summary, time.perf_counter() - start
-
-
-def run_checks(scope="quick", emit=print):
-    failures = 0
-    for name, passed, summary, _elapsed in check_results(scope):
-        if passed:
-            emit("ok   %s (%s)" % (name, summary))
-        else:
-            failures += 1
-            emit("FAIL %s: %s" % (name, summary))
-    return failures

@@ -173,9 +173,6 @@ class PairingResult:
     value: int
     complementary: bool
 
-    def to_json(self):
-        return {"value": self.value, "complementary": self.complementary}
-
 
 def pairing(space, idx_a, idx_b):
     """Coefficient of the point class in sigma_a . sigma_b.

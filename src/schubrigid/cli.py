@@ -292,26 +292,28 @@ def cmd_census(args):
 def cmd_selftest(args):
     from . import checks
 
-    if not args.json:
-        return 1 if checks.run_checks(scope=args.scope) else 0
     start = time.perf_counter()
-    results = [
-        {
-            "name": name,
-            "status": "ok" if passed else "fail",
-            "summary": summary,
-            "elapsed_s": round(elapsed, 3),
-        }
-        for name, passed, summary, elapsed in checks.check_results(args.scope)
-    ]
+    results = []
+    for name, passed, summary, elapsed in checks.check_results(args.scope):
+        if not args.json:  # one line as each check finishes
+            print(("ok   %s (%s)" if passed else "FAIL %s: %s") % (name, summary))
+        results.append(
+            {
+                "name": name,
+                "status": "ok" if passed else "fail",
+                "summary": summary,
+                "elapsed_s": round(elapsed, 3),
+            }
+        )
     failures = sum(1 for result in results if result["status"] == "fail")
-    payload = {
-        "scope": args.scope,
-        "checks": results,
-        "failures": failures,
-        "elapsed_s": round(time.perf_counter() - start, 3),
-    }
-    _print(args, payload, None)
+    if args.json:
+        payload = {
+            "scope": args.scope,
+            "checks": results,
+            "failures": failures,
+            "elapsed_s": round(time.perf_counter() - start, 3),
+        }
+        _print(args, payload, None)
     return 1 if failures else 0
 
 

@@ -80,14 +80,12 @@ class _Scanner:
 
 
 def parse_space(text):
-    scanner = _Scanner(text)
-    space = _space(scanner)
-    if not scanner.at_end():
-        raise ParseError("trailing input after space", location=scanner.pos)
-    return space
+    return _space(_Scanner(text))
 
 
 def _space(scanner):
+    """The space literal that ends the text: a descriptor that fails its own
+    checks is reported before any trailing input."""
     name, start = scanner.word()
     kind = _KINDS.get(name)
     if kind is None:
@@ -114,7 +112,10 @@ def _space(scanner):
         steps = (dims[0],)
         ambient = dims[1]
     scanner.expect(")")
-    return SpaceDescriptor(kind=kind, steps=steps, ambient=ambient)
+    space = SpaceDescriptor(kind=kind, steps=steps, ambient=ambient)
+    if not scanner.at_end():
+        raise ParseError("trailing input after space", location=scanner.pos)
+    return space
 
 
 def _entry_seq(scanner, stop_chars):
@@ -182,8 +183,6 @@ def parse_index(text):
         index = _build_index(a_entries, (), paired=False)
     scanner.expect("@")
     space = _space(scanner)
-    if not scanner.at_end():
-        raise ParseError("trailing input after space", location=scanner.pos)
     # plain literal for a flagged space never validates; shape fix-ups for the
     # empty-part cases where the writer could not carry block labels
     if space.kind.is_flag and not space.kind.is_type_a and index.paired:
@@ -229,8 +228,6 @@ def parse_sequence(text):
                 break
     scanner.expect("@")
     space = _space(scanner)
-    if not scanner.at_end():
-        raise ParseError("trailing input after space", location=scanner.pos)
     ladder.sort(key=lambda q: -q[0])
     return RestrictionSequence(
         space=space, isotropic=tuple(isotropic), ladder=tuple(ladder)

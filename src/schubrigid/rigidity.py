@@ -37,8 +37,11 @@ and the row of the image -- lives in ``_SpaceTables``, keyed by the tuple
 same few images.  The analysis maps each level's masks onto its own ref
 bits, so every question "first level t >= threshold where these refs are
 essential / rigid" -- first essential level, first common essential level,
-rigid levels, the SF a_i = i test -- is a loop over ints, and a relation
-closes by Warshall over bit rows.  ``_verdict`` is the one verdict path:
+rigid levels, the SF a_i = i test -- is a loop over ints.  The flag and
+compatibility relations close by Warshall over bit rows; an OF sub-index
+is rigid when a breadth-first walk of the direct ``=>`` rows reaches it
+from an entry rigid at some level, and the path is its witness.
+``_verdict`` is the one verdict path:
 ``classify`` builds tables for one class, and ``classify_space`` shares one
 set across a census.  Nothing outlives the call that built it.  Read a
 sub-index verdict with ``RigidityVerdict.sub`` and the relation with
@@ -307,9 +310,10 @@ class _ClassAnalysis:
     ``ess[t]`` and ``essential`` lists its bits.  Every question "first
     level t >= threshold where all these refs are essential / rigid" is a
     loop over those masks; a ref's bit is clear below its own block, so the
-    threshold needs no max with it.  A census passes one
-    ``tables`` shared by every class of the space.  An analysis lives for
-    one class.
+    threshold needs no max with it.  The relations read the same masks;
+    the OF ``=>`` edges stay direct rows (``implies_rows``) that ``orth_sub``
+    walks.  A census passes one ``tables`` shared by every class of the
+    space.  An analysis lives for one class.
     """
 
     def __init__(self, space, index, tables):
@@ -364,42 +368,56 @@ class _ClassAnalysis:
                     edges.append(RelationEdge(src, dst, level))
         return _close_and_grade([refs[q] for q in self.essential], edges)
 
-    def implies_relation(self):
-        """The ``=>`` relation on the essential OF refs, closed reflexively and
-        transitively: b_{j1} => b_{j2} (j2 < j1) unless the larger value is
-        n/2 - 1, when the smaller entry is essential in some admissible
-        push-forward; a_i <=> b_j when the values agree and are not n/2 - 1."""
+    def implies_rows(self):
+        """The direct ``=>`` edges on the essential OF refs, one int per ref of
+        ``essential``: bit p is set when it implies ``essential[p]``.
+        b_{j1} => b_{j2} (j2 < j1) when the smaller entry is essential in a
+        push-forward at a level >= the smaller block; a_i <=> b_j when the
+        values agree and are not n/2 - 1.  A b of value n/2 - 1 needs no such
+        exception: it is the largest b of every OG image that holds it, where
+        #{a <= b} = s never exceeds the bound s + 1/2, so it is never rigid, and
+        no edge enters it, so its out-edges decide no verdict and no chain."""
         n = self.space.ambient
-        refs = self.refs
-        edges = []
-        for qs in self.essential:
+        refs, essential = self.refs, self.essential
+        rows = []
+        for qs in essential:
             src = refs[qs]
-            for qd in self.essential:
+            row = 0
+            for p, qd in enumerate(essential):
                 dst = refs[qd]
-                if qs == qd:
-                    edges.append(RelationEdge(src, dst))
-                    continue
                 if src.side == "b" and dst.side == "b" and qd < qs:
-                    if 2 * src.value == n - 2:
-                        continue
-                    level = self.first(self.ess, min(src.block, dst.block), 1 << qd)
-                    if level is not None:
-                        edges.append(RelationEdge(src, dst, level))
-                elif src.side != dst.side and src.value == dst.value:
-                    if 2 * src.value != n - 2:
-                        edges.append(RelationEdge(src, dst))
-        return _close_and_grade([refs[q] for q in self.essential], edges)
+                    if self.first(self.ess, min(src.block, dst.block), 1 << qd) is not None:
+                        row |= 1 << p
+                elif src.side != dst.side and src.value == dst.value and 2 * src.value != n - 2:
+                    row |= 1 << p
+            rows.append(row)
+        return rows
 
-    def orth_sub(self, implies, q):
-        """(verdict, witness chain) of the essential OF ref q: rigid exactly
-        when some entry related to it under ``=>`` is rigid in a push-forward."""
-        target = 1 << self.essential.index(q)
-        for row, source, qs in zip(implies.rows, implies.elements, self.essential):
-            if not row & target:
-                continue
+    def orth_sub(self, rows, q):
+        """(verdict, witness) of the essential OF ref q: rigid exactly when q is
+        reached along the ``=>`` edges ``rows`` from an entry rigid in some
+        push-forward.  The rigid sources go in ``essential`` order, each walked
+        breadth first, successors in ascending position, each marked when first
+        found; the witness is the first path to q and its source's first rigid
+        level."""
+        essential = self.essential
+        goal = essential.index(q)
+        for p, qs in enumerate(essential):
             level = self.first(self.rig, 1, 1 << qs)
-            if level is not None:
-                return True, ("chain", (_chain_between(implies, source, self.refs[q]), level))
+            if level is None:
+                continue
+            seen = 1 << p
+            frontier = [(p,)]
+            for path in frontier:  # a queue: the walk appends while it reads
+                if path[-1] == goal:
+                    chain = tuple([self.refs[essential[i]] for i in path])
+                    return True, ("chain", (chain, level))
+                fresh = rows[path[-1]] & ~seen
+                seen |= fresh
+                while fresh:
+                    low = fresh & -fresh
+                    frontier.append(path + (low.bit_length() - 1,))
+                    fresh ^= low
         return False, ()
 
     def compat_relation(self, paper_literal):
@@ -427,7 +445,9 @@ class _ClassAnalysis:
                         edges.append(RelationEdge(src, dst))
                     continue
                 elif src.side == "b" and dst.side == "a":
-                    if src.value > dst.value or 2 * src.value == n - 2:
+                    # a b of value n/2 - 1 reaches only a = n/2 - 1 = a_s, which the
+                    # image's a_s + b_last = n - 2 makes non-essential: no level
+                    if src.value > dst.value:
                         continue
                     level = self.first(self.ess, threshold, 1 << qs | 1 << qd)
                 else:
@@ -588,30 +608,9 @@ def _orthgrass_class(space, index):
 # orthogonal flags
 
 
-def _chain_between(relation, source, target):
-    """Shortest direct-edge path source => ... => target (BFS)."""
-    if source.key() == target.key():
-        return (source,)
-    adjacency = {}
-    for edge in relation.edges:
-        adjacency.setdefault(edge.source.key(), []).append(edge.target)
-    frontier = [(source, (source,))]
-    seen = {source.key()}
-    while frontier:
-        current, path = frontier.pop(0)
-        for nxt in adjacency.get(current.key(), []):
-            if nxt.key() in seen:
-                continue
-            if nxt.key() == target.key():
-                return path + (nxt,)
-            seen.add(nxt.key())
-            frontier.append((nxt, path + (nxt,)))
-    return (source, target)
-
-
 def _orthflag_class(analysis, paper_literal):
-    implies = analysis.implies_relation()
-    subs = _subs(analysis.refs, analysis.essential_mask, lambda q: analysis.orth_sub(implies, q))
+    rows = analysis.implies_rows()
+    subs = _subs(analysis.refs, analysis.essential_mask, lambda q: analysis.orth_sub(rows, q))
     relation = analysis.compat_relation(paper_literal)
     return _ordered_verdict(analysis.space, analysis.index, subs, relation)
 

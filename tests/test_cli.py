@@ -199,6 +199,37 @@ class TestExitCodes:
         payload = json.loads(err)
         assert (payload["kind"], payload["location"]) == ("parse", location)
 
+    @pytest.mark.parametrize(
+        "argv, kind, message, location",
+        [
+            (("census", "G(2,4) x"), "parse", "trailing input after space", 7),
+            (("census", "G(2)"), "parse", "expected (k,n)", 3),
+            # a descriptor that fails its own checks is reported before trailing input
+            (("census", "G(0,4) x"), "validation", "step dimensions must be positive", None),
+            (("rigid", "1^1,3 @ F(1,2;4)"), "parse", "mixed flagged and unflagged entries", None),
+            (
+                ("rigid", "(1^1|0) @ OF(1,2;5)"),
+                "parse",
+                "a and b parts must be both flagged or both plain",
+                None,
+            ),
+            (("rigid", "1,3 @ G(2,4) junk"), "parse", "trailing input after space", 13),
+            (("expand", "F:2 | R:6^0 @ OG(2,7)"), "parse", "expected 'Q:' after '|'", 6),
+            (("expand", "F:2 | Q:6^0 @ OG(2,7) x"), "parse", "trailing input after space", 22),
+        ],
+        ids=[
+            "space-trailing", "space-short", "space-invalid-then-trailing", "mixed-labels",
+            "pair-labels", "index-trailing", "sequence-no-Q", "sequence-trailing",
+        ],
+    )
+    def test_literal_errors(self, capsys, argv, kind, message, location):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert (payload["kind"], payload["message"], payload.get("location")) == (
+            kind, message, location
+        )
+
     @pytest.mark.parametrize("ref", ["a\u00b2", "a" + "9" * 5000], ids=["superscript", "long"])
     def test_bad_sub_ref_is_validation(self, capsys, ref):
         code, out, err = run(capsys, "rigid", "1,3 @ G(2,4)", "--sub", ref, "--json")
@@ -508,6 +539,37 @@ class TestSelftest:
         assert all(c["status"] == "ok" and c["summary"] for c in payload["checks"])
         assert all(isinstance(c["elapsed_s"], float) and c["elapsed_s"] >= 0 for c in payload["checks"])
         assert payload["elapsed_s"] >= 0
+
+    @pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+    def test_a_failing_check_fails_the_run(self, capsys, monkeypatch, as_json):
+        before = []  # what was printed when the second check ran
+
+        def broken():
+            before.append(capsys.readouterr().out)
+            checks._expect(False, "expected %d, got %d", 1, 2)
+
+        names = [name for name, _ in checks.QUICK_CHECKS]
+        patched = list(checks.QUICK_CHECKS)
+        patched[1] = (names[1], broken)
+        monkeypatch.setattr(checks, "QUICK_CHECKS", tuple(patched))
+        code, out, _ = run(capsys, "selftest", "quick", *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            assert before == [""]
+            payload = json.loads(out)
+            assert payload["failures"] == 1
+            assert [c["status"] for c in payload["checks"]] == ["ok", "fail"] + ["ok"] * (
+                len(names) - 2
+            )
+            assert payload["checks"][1]["summary"] == "expected 1, got 2"
+        else:
+            # each line is printed as its check finishes
+            assert len(before) == 1 and before[0].startswith("ok   %s (" % names[0])
+            lines = out.splitlines()
+            assert lines[0] == "FAIL %s: expected 1, got 2" % names[1]
+            assert [line.split(" (")[0] for line in lines[1:]] == [
+                "ok   %s" % name for name in names[2:]
+            ]
 
     def test_json_report_round_trip(self, capsys):
         code, out, _ = run(capsys, "rigid", "(1^1|1^2) @ OF(1,2;5)", "--json")

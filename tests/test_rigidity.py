@@ -230,24 +230,69 @@ class TestRigidOrthGrass:
 
 
 class TestOrthFlag:
-    def test_implies_relation_chain(self):
+    def test_implies_rows_chain(self):
         sp, idx = parse_index("(3^2|3^1,1^1,0^2) @ OF(2,4;11)")
         analysis = rigidity._ClassAnalysis(sp, idx, rigidity._SpaceTables(sp))
-        report = analysis.implies_relation()
-        a3, b3, b1 = (analysis.refs[q] for q in (0, 3, 2))  # a_1, b_3, b_2
-        assert related(report, a3, b3)
-        assert related(report, b3, b1)
-        assert related(report, a3, b1)  # transitivity
-        for e in report.elements:
-            assert related(report, e, e)  # reflexivity
+        rows = analysis.implies_rows()
+        position = {analysis.refs[q].key(): p for p, q in enumerate(analysis.essential)}
 
-    def test_no_edge_into_from_half_minus_one(self):
-        sp, idx = parse_index("(|2^1,3^2) @ OF(1,2;8)")
+        def edge(source, target):
+            return bool(rows[position[source]] >> position[target] & 1)
+
+        assert edge(("a", 1), ("b", 3))
+        assert edge(("b", 3), ("b", 2))
+        assert not edge(("a", 1), ("b", 2))  # direct edges only: no closure
+        rigid, (kind, (chain, level)) = analysis.orth_sub(rows, 2)  # ref 2 is b_2
+        assert rigid is True and kind == "chain"
+        assert [ref.key() for ref in chain] == [("a", 1), ("b", 3), ("b", 2)]
+
+    def test_half_minus_one_b_is_never_rigid_in_an_og_image(self):
+        # For even n = 2h, a b of value h - 1 is the largest b of its image and
+        # never rigid there (L1), and an a of the same value is a_s and not
+        # essential (L2); so edges out of that b decide no OF verdict.
+        classes = top_b = both = 0
+        for space in checks._spaces((SpaceKind.GRASS_ORTH,), 16, 1):
+            n = space.ambient
+            if n % 2 or n < 4:  # n = 2: b = 0 = n/2 - 1 is rigid by the b = 0 clause
+                continue
+            h = n // 2
+            for idx in enumerate_indices(space):
+                classes += 1
+                if not idx.b or idx.b[-1] != h - 1:
+                    continue
+                top_b += 1
+                essential, rigid = rigidity._orth_row(space, idx)
+                s = idx.s
+                assert all(a <= h - 1 for a in idx.a)
+                assert not rigid >> (s + len(idx.b) - 1) & 1, (space, idx)  # L1
+                if idx.a and idx.a[-1] == h - 1:
+                    both += 1
+                    assert not essential >> (s - 1) & 1, (space, idx)  # L2
+        assert (classes, top_b, both) == (9830, 3279, 1093)
+
+    def test_edge_out_of_half_minus_one_b_changes_no_verdict(self, capsys):
+        # b_2 = 1 = n/2 - 1 is essential and now has the direct edge b_2 => b_1;
+        # the verdict is the one printed before that edge was built
+        sp, idx = parse_index("(|0^2,1^1) @ OF(1,2;4)")
         analysis = rigidity._ClassAnalysis(sp, idx, rigidity._SpaceTables(sp))
-        report = analysis.implies_relation()
-        b2, b3 = analysis.refs  # b_1 and b_2: no a side
-        # b_2 has value 3 = n/2 - 1: no propagation out of it
-        assert not related(report, b3, b2)
+        assert analysis.essential == (0, 1)
+        assert analysis.implies_rows() == [0, 1]
+        b1 = {"block": 2, "position": 1, "side": "b", "value": 0}
+        b2 = {"block": 1, "position": 2, "side": "b", "value": 1}
+        assert cli.main(["rigid", "--json", "(|0^2,1^1) @ OF(1,2;4)"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "class_rigid": False,
+            "essential": [b1, b2],
+            "index": {"a": [], "alpha": [], "b": [0, 1], "beta": [2, 1]},
+            "relation": {
+                "edges": [{"from": b1, "t": 2, "to": b2}],
+                "strict": True,
+                "totally_ordered": True,
+            },
+            "rigid": [b1],
+            "space": "OF(1,2;4)",
+            "witness": [{"chain": [b1], "level": 2, "ref": b1}],
+        }
 
     def test_rigid_sub_example(self):
         sub = verdict_of("(3^2|3^1,1^1,0^2) @ OF(2,4;11)").sub("b", 2)
